@@ -58,7 +58,7 @@ func main() {
 	timeout := flag.Duration("lock-timeout", 60*time.Second, "local database lock timeout (the paper's 60 s)")
 	nextKey := flag.Bool("next-key-locking", false, "enable next-key locking in the local database (the paper disables it)")
 	seed := flag.Int("seed-files", 0, "pre-create this many files under /data for experiments")
-	admin := flag.String("admin", "", "HTTP admin address serving /metrics, /debug/traces, /debug/locks (empty = disabled)")
+	admin := flag.String("admin", "", "HTTP admin address serving /metrics, /debug/txn/<id>, /debug/locks (empty = disabled)")
 	fsyncDelay := flag.Duration("fsync-delay", 0, "modeled log-device fsync latency added to every WAL sync (0 = none)")
 	fleetAddr := flag.String("fleet", "", "HTTP address serving the fleet /cluster/* plane over this member plus -fleet-peers (empty = disabled; also mounted on -admin)")
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated name=host:port admin endpoints of the other fleet members to federate")
@@ -160,7 +160,7 @@ func main() {
 			log.Fatalf("dlfmd: admin listener: %v", err)
 		}
 		defer adminSrv.Close()
-		log.Printf("dlfmd: admin endpoint on http://%s (/metrics, /debug/traces, /debug/locks, /debug/txn/<id>, /debug/slow, /debug/waitgraph, /debug/waitedges)", adminSrv.Addr())
+		log.Printf("dlfmd: admin endpoint on http://%s (/metrics, /debug/locks, /debug/txn/<id>, /debug/slow, /debug/waitgraph, /debug/waitedges)", adminSrv.Addr())
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -90,6 +90,12 @@ var ok = rpc.Response{}
 func (a *ChildAgent) HandleCtx(ctx obs.SpanCtx, req any) rpc.Response {
 	sp := a.srv.tracer.StartSpan(ctx, "agent", "handle:"+rpc.Name(req))
 	defer sp.End()
+	switch r := req.(type) {
+	case rpc.LinkFileReq:
+		sp.Attr("file", r.Name)
+	case rpc.UnlinkFileReq:
+		sp.Attr("file", r.Name)
+	}
 	a.conn.SetSpanCtx(sp.Ctx())
 	return a.Handle(req)
 }
@@ -97,7 +103,6 @@ func (a *ChildAgent) HandleCtx(ctx obs.SpanCtx, req any) rpc.Response {
 // Handle dispatches one request. Requests on a connection are served
 // serially by the RPC layer.
 func (a *ChildAgent) Handle(req any) rpc.Response {
-	a.srv.tracer.Emit(rpc.TxnOf(req), "agent", "dispatch", rpc.Name(req))
 	if a.srv.IsStandby() {
 		// Write fencing: a hot spare serves reads and the replication
 		// stream only. Anything transactional is refused until Promote.
@@ -206,7 +211,6 @@ func (a *ChildAgent) beginTxn(r rpc.BeginTxnReq) rpc.Response {
 	a.ops = 0
 	a.txnRow = false
 	a.wrote = false
-	a.srv.tracer.Emit(r.Txn, "agent", "txn_begin", "")
 	return ok
 }
 
@@ -299,7 +303,6 @@ func (a *ChildAgent) linkFile(r rpc.LinkFileReq) rpc.Response {
 	}
 	a.srv.stats.Links.Add(1)
 	a.srv.linkHist.Observe(time.Since(start))
-	a.srv.tracer.Emit(r.Txn, "agent", "link", r.Name)
 	return ok
 }
 
@@ -359,7 +362,6 @@ func (a *ChildAgent) unlinkFile(r rpc.UnlinkFileReq) rpc.Response {
 		return fail(err)
 	}
 	a.srv.stats.Unlinks.Add(1)
-	a.srv.tracer.Emit(r.Txn, "agent", "unlink", r.Name)
 	return ok
 }
 
@@ -448,7 +450,6 @@ func (a *ChildAgent) prepare(r rpc.PrepareReq) rpc.Response {
 	}
 	a.srv.stats.Prepares.Add(1)
 	a.srv.prepareHist.Observe(time.Since(start))
-	a.srv.tracer.Emit(r.Txn, "agent", "prepare_vote_yes", "")
 	return ok
 }
 
@@ -554,7 +555,6 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 	a.srv.copyd.kick()
 	a.srv.stats.Commits.Add(1)
 	a.srv.stats.OnePhaseCommits.Add(1)
-	a.srv.tracer.Emit(r.Txn, "agent", "one_phase_commit", "")
 	a.resetTxn()
 	if err := fpPhase2BeforeAck.FireDetail("onephase"); err != nil {
 		// The commit is durable but the acknowledgement is lost; the host

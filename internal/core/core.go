@@ -109,10 +109,10 @@ type Config struct {
 	// database. Nil means a fresh registry labeled server=<ServerName> is
 	// created; retrieve it with Server.Obs.
 	Obs *obs.Registry
-	// Tracer receives the 2PC lifecycle trace events. Nil means a fresh
-	// ring of obs.DefaultTraceCapacity events is created; retrieve it with
-	// Server.Tracer. Multi-DLFM stacks share one tracer so the chain stays
-	// chronological.
+	// Tracer receives this DLFM's spans and marks. Nil means a fresh
+	// default tracer is created; retrieve it with Server.Tracer.
+	// Multi-DLFM stacks share one tracer so a transaction's timeline
+	// stays chronological.
 	Tracer *obs.Tracer
 	// Flight, when non-nil, receives deadlock/timeout victim captures from
 	// the local lock manager. Stacks share one recorder so /debug/waitgraph
@@ -214,7 +214,7 @@ func newServer(cfg Config, fs *fsim.Server, arch *archive.Server, standby bool) 
 		cfg.Obs = obs.New().Label("server", cfg.ServerName)
 	}
 	if cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
+		cfg.Tracer = obs.NewTracerCfg(obs.TracerConfig{})
 	}
 	// The local database shares the DLFM's registry and tracer, so one
 	// scrape covers the whole instance: dlfm_*, engine_*, lock_*, wal_*.
@@ -321,7 +321,7 @@ func (s *Server) Name() string { return s.cfg.ServerName }
 // local database), for /metrics exposition.
 func (s *Server) Obs() *obs.Registry { return s.obs }
 
-// Tracer returns the trace ring receiving this DLFM's 2PC lifecycle events.
+// Tracer returns the tracer recording this DLFM's spans and marks.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // WaitEdges renders this DLFM's live lock wait-for edges with trace-id

@@ -260,6 +260,7 @@ func TestPhase2GiveupSurfacesWedgedTxn(t *testing.T) {
 	fault.Default().Arm("core.phase2.work", fault.Action{Err: engine.ErrTimeout}, fault.Match("commit"))
 	// The host fires phase 2 and ignores the severe answer; the commit is
 	// decided regardless of whether this DLFM managed to apply it.
+	txn := s.TxnID()
 	if err := s.Commit(); err != nil {
 		t.Fatalf("commit = %v (phase-2 failures must not surface here)", err)
 	}
@@ -269,17 +270,12 @@ func TestPhase2GiveupSurfacesWedgedTxn(t *testing.T) {
 	if fired := fault.Default().Fired("core.phase2.work"); fired != 3 {
 		t.Errorf("phase-2 work attempts = %d, want 3 (the retry cap)", fired)
 	}
-	var giveup *obs.Event
-	for _, e := range st.Tracer.Events() {
-		if e.Kind == "phase2_giveup" {
-			ev := e
-			giveup = &ev
-		}
-	}
-	if giveup == nil {
-		t.Error("no 2pc/phase2_giveup trace event emitted")
-	} else if giveup.Detail != "commit" {
-		t.Errorf("giveup event detail = %q, want commit", giveup.Detail)
+	// The give-up is a mark in the transaction's own trace, so
+	// /debug/txn/<id> shows it on the timeline beside the phase-2 spans.
+	timeline := strings.Join(obs.RenderTree(st.Tracer.SpansByTrace(txn)), "\n")
+	if !strings.Contains(timeline, "mark fs1/2pc/phase2_giveup detail=commit") ||
+		!strings.Contains(timeline, "fs1/agent/handle:Commit") {
+		t.Errorf("no 2pc/phase2_giveup mark in the transaction's timeline:\n%s", timeline)
 	}
 	if n := preparedCount(t, st); n != 1 {
 		t.Fatalf("prepared entries = %d, want 1 (left for resolution)", n)

@@ -37,10 +37,6 @@ func (s *Server) replFetch(r rpc.ReplFetchReq) rpc.Response {
 		recs = recs[:max]
 	}
 	s.stats.ReplFetches.Add(1)
-	if len(recs) > 0 {
-		s.tracer.Emitf(0, "repl", "ship", "%s: %d records, LSN %d..%d",
-			s.cfg.ServerName, len(recs), recs[0].LSN, recs[len(recs)-1].LSN)
-	}
 	return rpc.Response{Data: wal.EncodeRecords(recs), LSN: s.db.WAL().NextLSN(), N: int64(len(recs))}
 }
 

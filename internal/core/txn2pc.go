@@ -44,7 +44,6 @@ func (s *Server) phase2Commit(conn *engine.Conn, txn int64) rpc.Response {
 		if !retry {
 			if resp.OK() {
 				s.phase2Hist.Observe(time.Since(start))
-				s.tracer.Emit(txn, "2pc", "phase2_commit", "")
 			}
 			return resp
 		}
@@ -218,9 +217,6 @@ func (s *Server) phase2Abort(conn *engine.Conn, txn int64) rpc.Response {
 	for attempt := 0; ; attempt++ {
 		resp, retry := s.tryAbort(conn, txn)
 		if !retry {
-			if resp.OK() {
-				s.tracer.Emit(txn, "2pc", "phase2_abort", "")
-			}
 			return resp
 		}
 		if conn.InTxn() {

@@ -74,7 +74,7 @@ type Config struct {
 	// Obs, when non-nil, receives the engine's counters and histograms
 	// (engine_*, lock_*, wal_* metric names) for /metrics exposition.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives lock/WAL/recovery trace events.
+	// Tracer, when non-nil, receives lock/WAL spans and recovery marks.
 	Tracer *obs.Tracer
 	// Flight, when non-nil, records deadlock/timeout victims (wait-for
 	// graph + span tree) for post-mortem via /debug/waitgraph.

@@ -69,7 +69,7 @@ func (db *DB) recover() error {
 	}
 	for txnID := range prepared {
 		db.restoreIndoubtLocked(txnID, recs)
-		db.tracer.Emitf(txnID, "engine", "recovery_indoubt", "%s restored prepared", db.cfg.Name)
+		db.tracer.Emitf(0, "engine", "recovery_indoubt", "%s restored prepared txn %d", db.cfg.Name, txnID)
 	}
 	if maxTxn >= db.nextTxn.Load() {
 		db.nextTxn.Store(maxTxn)

@@ -149,7 +149,7 @@ func (db *DB) recoverStorage() error {
 		}
 		db.restoreIndoubtLocked(txnID, recs)
 		stats.Indoubt++
-		db.tracer.Emitf(txnID, "engine", "recovery_indoubt", "%s restored prepared", db.cfg.Name)
+		db.tracer.Emitf(0, "engine", "recovery_indoubt", "%s restored prepared txn %d", db.cfg.Name, txnID)
 	}
 
 	if maxTxn >= db.nextTxn.Load() {

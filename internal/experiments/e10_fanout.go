@@ -49,11 +49,11 @@ func RunE10Fanout(opt Options) (*E10Report, error) {
 	fault.Default().Arm("rpc.server.handle", fault.Action{Delay: e10RPCDelay})
 	defer fault.Default().Disarm("rpc.server.handle")
 	for _, n := range []int{1, 2, 4, 8} {
-		seq, err := e10Measure(n, 1, opt.ops())
+		seq, err := e10Measure(n, 1, 0, opt.ops())
 		if err != nil {
 			return nil, fmt.Errorf("e10: %d participants sequential: %w", n, err)
 		}
-		par, err := e10Measure(n, 0, opt.ops())
+		par, err := e10Measure(n, 0, 0, opt.ops())
 		if err != nil {
 			return nil, fmt.Errorf("e10: %d participants parallel: %w", n, err)
 		}
@@ -67,8 +67,9 @@ func RunE10Fanout(opt Options) (*E10Report, error) {
 }
 
 // e10Measure returns the median commit latency over ops transactions that
-// each enlist `servers` DLFMs, with the given CommitFanout.
-func e10Measure(servers, fanout, ops int) (time.Duration, error) {
+// each enlist `servers` DLFMs, with the given CommitFanout, after warm
+// untimed transactions of the same shape.
+func e10Measure(servers, fanout, warm, ops int) (time.Duration, error) {
 	names := make([]string, servers)
 	for i := range names {
 		names[i] = fmt.Sprintf("fs%d", i+1)
@@ -100,7 +101,7 @@ func e10Measure(servers, fanout, ops int) (time.Duration, error) {
 	if err := st.Host.CreateTable(ddl.String(), cols...); err != nil {
 		return 0, err
 	}
-	for t := 0; t < ops; t++ {
+	for t := 0; t < warm+ops; t++ {
 		for _, name := range names {
 			if err := st.FS[name].Create(fmt.Sprintf("/e10/f%d", t), "app", []byte("x")); err != nil {
 				return 0, err
@@ -119,7 +120,7 @@ func e10Measure(servers, fanout, ops int) (time.Duration, error) {
 	s := st.Host.Session()
 	defer s.Close()
 	lats := make([]time.Duration, 0, ops)
-	for t := 0; t < ops; t++ {
+	for t := 0; t < warm+ops; t++ {
 		params := []value.Value{value.Int(int64(t))}
 		for _, name := range names {
 			params = append(params, value.Str(hostdb.URL(name, fmt.Sprintf("/e10/f%d", t))))
@@ -131,7 +132,9 @@ func e10Measure(servers, fanout, ops int) (time.Duration, error) {
 		if err := s.Commit(); err != nil {
 			return 0, err
 		}
-		lats = append(lats, time.Since(start))
+		if t >= warm {
+			lats = append(lats, time.Since(start))
+		}
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	return lats[len(lats)/2], nil

@@ -59,16 +59,28 @@ func RunE11TraceOverhead(opt Options) (*E11Report, error) {
 	return rep, nil
 }
 
+// e11SpansPerCommit is a floor on what one 8-participant transaction
+// records at full sampling (69: the statement with 8 link RPCs and their
+// agent spans, the root, phase 1 with 8 prepares and their fsyncs, phase 2
+// with 8 commits).
+const e11SpansPerCommit = 64
+
 // e11Measure runs E10's 8-participant parallel-commit measurement under the
 // given process-wide sampling rate, restoring the previous tracer
-// configuration afterwards.
+// configuration afterwards. Every leg first runs enough untimed commits to
+// overwrite the span ring once, so the timed ones see the tracer's steady
+// state — a full ring, every push evicting — not a fresh, empty one.
 func e11Measure(rate float64, ops int) (time.Duration, error) {
 	prev := obs.DefaultTracerConfig()
 	cfg := prev
 	cfg.SampleRate = rate
 	obs.SetDefaultTracerConfig(cfg)
 	defer obs.SetDefaultTracerConfig(prev)
-	return e10Measure(8, 0, ops)
+	ring := cfg.SpanCapacity
+	if ring <= 0 {
+		ring = obs.DefaultSpanCapacity
+	}
+	return e10Measure(8, 0, ring/e11SpansPerCommit+1, ops)
 }
 
 // String renders the report.

@@ -198,6 +198,8 @@ func TestStitchAttribution(t *testing.T) {
 		{Trace: trace, ID: 2, Parent: 1, Comp: "host", Op: "lock_wait", DurNS: 5e6},
 		{Trace: trace, ID: 3, Parent: 1, Comp: "fs2/db", Op: "wal_fsync", DurNS: 80e6},
 		{Trace: trace, ID: 4, Parent: 1, Comp: "fs1/db", Op: "wal_fsync", DurNS: 2e6},
+		// A mark under a leaf span leaves it a leaf.
+		{Trace: trace, ID: 5, Parent: 3, Comp: "fs2/wal", Op: "log_full", Mark: true},
 	}
 	st := NewCollector(&stubSource{name: "host", spans: spans}).Stitch(trace)
 	if st.Dominant != "fs2/wal_fsync" {

@@ -160,21 +160,22 @@ func withParent(sp obs.Span, remap map[int64]int64) obs.Span {
 	return sp
 }
 
-// attribute buckets leaf time (spans with no children) by obs.BucketOf,
-// fleet-wide and per member. The member is recovered from the span's
-// component prefix ("fs2/engine" → fs2; unprefixed components — host,
-// hostdb, rpc — attribute to "host").
+// attribute buckets leaf time (spans with no child spans) by obs.BucketOf,
+// fleet-wide and per member. Marks are instants: they carry no time and do
+// not make their parent less of a leaf. The member is recovered from the
+// span's component prefix ("fs2/engine" → fs2; unprefixed components —
+// host, hostdb, rpc — attribute to "host").
 func attribute(spans []obs.Span) (map[string]int64, map[string]map[string]int64) {
 	hasChild := make(map[int64]bool, len(spans))
 	for _, sp := range spans {
-		if sp.Parent != 0 {
+		if sp.Parent != 0 && !sp.Mark {
 			hasChild[sp.Parent] = true
 		}
 	}
 	total := map[string]int64{}
 	byMember := map[string]map[string]int64{}
 	for _, sp := range spans {
-		if hasChild[sp.ID] {
+		if sp.Mark || hasChild[sp.ID] {
 			continue
 		}
 		bucket := obs.BucketOf(sp)

@@ -97,8 +97,8 @@ type Config struct {
 	// those of its engine. Nil creates a fresh registry labeled
 	// host=<Name>; retrieve it with DB.Obs.
 	Obs *obs.Registry
-	// Tracer receives host-side 2PC trace events. Nil creates a fresh
-	// ring; share one tracer with the DLFMs for a unified chain.
+	// Tracer receives host-side spans and marks. Nil creates a fresh
+	// one; share one tracer with the DLFMs for a unified timeline.
 	Tracer *obs.Tracer
 }
 
@@ -219,10 +219,6 @@ type DB struct {
 	// prepFanout counts 2PC fan-out calls currently in flight across all
 	// sessions (host_prepare_fanout).
 	prepFanout obs.Gauge
-	// attribHists export per-commit latency attribution, one histogram per
-	// bucket (host_attrib_<bucket>_seconds), each carrying an exemplar
-	// trace id pointing at the worst observed commit.
-	attribHists map[string]*obs.Histogram
 
 	// backups holds the quiesced backup images (the paper's backup files).
 	backups map[int64]*backupImage
@@ -235,7 +231,7 @@ func Open(cfg Config) (*DB, error) {
 		cfg.Obs = obs.New().Label("host", cfg.Name)
 	}
 	if cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
+		cfg.Tracer = obs.NewTracerCfg(obs.TracerConfig{})
 	}
 	cfg.DB.Obs = cfg.Obs
 	cfg.DB.Tracer = cfg.Tracer
@@ -274,12 +270,6 @@ func Open(cfg Config) (*DB, error) {
 		_, q := db.admissionPressure()
 		return float64(q)
 	})
-	db.attribHists = make(map[string]*obs.Histogram, len(obs.AttributionBuckets))
-	for _, b := range obs.AttributionBuckets {
-		h := obs.NewHistogram()
-		db.attribHists[b] = h
-		db.obs.RegisterHistogram("host_attrib_"+b+"_seconds", h)
-	}
 	// The RPC transport's process-wide counters (rpc_inflight,
 	// rpc_call_timeouts_total, …) ride on the host registry so they reach
 	// /metrics and the BENCH snapshot.
@@ -300,20 +290,8 @@ func (db *DB) Engine() *engine.DB { return db.eng }
 // Obs returns the registry holding the host's metrics.
 func (db *DB) Obs() *obs.Registry { return db.obs }
 
-// Tracer returns the trace ring receiving host-side 2PC events.
+// Tracer returns the tracer recording host-side spans and marks.
 func (db *DB) Tracer() *obs.Tracer { return db.tracer }
-
-// observeAttribution folds the finished commit's span tree into the
-// per-bucket attribution histograms, using the txn id as the exemplar so a
-// histogram outlier links straight to /debug/txn/<id>.
-func (db *DB) observeAttribution(txn int64) {
-	a := db.tracer.Attribution(txn)
-	for b, ns := range a.Buckets {
-		if h := db.attribHists[b]; h != nil && ns > 0 {
-			h.ObserveEx(time.Duration(ns), txn)
-		}
-	}
-}
 
 // Stats returns a snapshot of the counters.
 func (db *DB) Stats() Snapshot {

@@ -22,17 +22,10 @@ func (s *Session) commitOnePhase(p *participant) error {
 	txn := s.txn
 	start := time.Now()
 	root := db.tracer.StartRoot(txn, "host", "commit")
-	committed := false
-	defer func() {
-		root.End()
-		if committed {
-			db.observeAttribution(txn)
-		}
-	}()
+	defer root.End()
 	if root != nil {
 		s.conn.SetSpanCtx(root.Ctx())
 	}
-	db.tracer.Emit(txn, "host", "1pc_delegate", p.server)
 
 	// Harden the host branch first: the participant is the commit point,
 	// so by the time it decides, the host must be able to follow either
@@ -86,11 +79,9 @@ func (s *Session) commitOnePhase(p *participant) error {
 				return fmt.Errorf("hostdb: txn %d committed at %s but host branch failed to land: %v", txn, p.server, err)
 			}
 		}
-		committed = true
 		db.stats.Commits.Add(1)
 		db.stats.OnePhaseCommits.Add(1)
 		db.commitHist.ObserveEx(time.Since(start), txn)
-		db.tracer.Emit(txn, "host", "1pc_done", p.server)
 		s.finishTxn()
 		return nil
 	}

@@ -122,7 +122,7 @@ func (db *DB) LearnOutcome(txn int64) (string, error) {
 // hardened (PrepareTxn) with the outcome row riding inside it, then the
 // ballot-0 accept round chooses the commit. Only after the quorum is the
 // branch committed and phase 2 fanned out.
-func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, txn int64, start time.Time, committed *bool) error {
+func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, txn int64, start time.Time) error {
 	db := s.db
 	acceptors := db.acceptorCallers()
 	parts := make([]string, 0, len(writers)+1)
@@ -179,7 +179,6 @@ func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, 
 		s.finishTxn()
 		return fmt.Errorf("hostdb: txn %d chosen commit but host branch failed to land: %v", txn, err)
 	}
-	db.tracer.Emit(txn, "host", "paxos_decision_commit", "")
 
 	if err := fpLeaderCrash.FireDetail("post"); err != nil {
 		// Crashed after the decision but before phase 2 — 2PC's wedging
@@ -201,11 +200,9 @@ func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, 
 		// is still prepared and its learner must find the instances.)
 		paxoscommit.Forget(acceptors, txn)
 	}
-	*committed = true
 	db.stats.Commits.Add(1)
 	db.stats.PaxosCommits.Add(1)
 	db.commitHist.ObserveEx(time.Since(start), txn)
-	db.tracer.Emit(txn, "host", "2pc_done", "paxos")
 	s.finishTxn()
 	return nil
 }
@@ -239,7 +236,6 @@ func (s *Session) paxosRecover(root *obs.SpanHandle, writers []*participant, txn
 		}
 		s.phase2Fanout(root, writers, txn, true)
 		db.stats.Commits.Add(1)
-		db.tracer.Emit(txn, "host", "2pc_done", "paxos_recovered")
 		s.finishTxn()
 		return nil
 	}

@@ -105,7 +105,6 @@ func (s *Session) begin() error {
 		s.txn = s.db.NextTxn()
 		s.dead = false
 		s.db.markActive(s.txn)
-		s.db.tracer.Emit(s.txn, "host", "txn_begin", "")
 		// The host txn id doubles as the trace id. Attaching it to the
 		// engine connection makes the engine bind its local txn id on the
 		// implicit begin, so host-side lock waits and fsyncs find their
@@ -845,23 +844,18 @@ func (s *Session) Commit() error {
 
 	start := time.Now()
 	txn := s.txn
-	s.db.tracer.Emitf(txn, "host", "2pc_prepare", "%d participants", len(enlisted))
 
 	// The root span covers the whole commit. Phase 1 runs from the first
 	// prepare through the durable decision write — Gray & Lamport's cost
 	// model ends phase 1 at the coordinator's stable write, so the local
 	// outcome insert and engine commit (with its fsync) belong to it.
 	// End is idempotent, so the deferred pair only matters on the error
-	// paths; attribution is exported once the root duration is final.
+	// paths.
 	root := s.db.tracer.StartRoot(txn, "host", "commit")
 	p1 := s.db.tracer.StartSpan(root.Ctx(), "host", "phase1")
-	committed := false
 	defer func() {
 		p1.End()
 		root.End()
-		if committed {
-			s.db.observeAttribution(txn)
-		}
 	}()
 	if p1 != nil {
 		s.conn.SetSpanCtx(p1.Ctx())
@@ -930,16 +924,14 @@ func (s *Session) Commit() error {
 			s.db.gcOutcome(txn)
 		}
 		p1.End()
-		committed = true
 		s.db.stats.Commits.Add(1)
 		s.db.commitHist.ObserveEx(time.Since(start), txn)
-		s.db.tracer.Emit(s.txn, "host", "2pc_done", "readonly")
 		s.finishTxn()
 		return nil
 	}
 
 	if s.db.protocol() == "paxos" {
-		return s.commitPaxos(root, p1, writers, txn, start, &committed)
+		return s.commitPaxos(root, p1, writers, txn, start)
 	}
 
 	// Decision: record the outcome inside the host transaction and commit
@@ -957,7 +949,6 @@ func (s *Session) Commit() error {
 	if err := s.commitLocal(); err != nil {
 		return s.abortCommit(txn, fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
 	}
-	s.db.tracer.Emit(s.txn, "host", "2pc_decision_commit", "")
 	p1.End()
 	if err := fpBetweenPhases.Fire(); err != nil {
 		// The decision is already durable; the transaction IS committed even
@@ -975,10 +966,8 @@ func (s *Session) Commit() error {
 		// purpose, and from now on its absence means commit — forget it.
 		s.db.gcOutcome(txn)
 	}
-	committed = true
 	s.db.stats.Commits.Add(1)
 	s.db.commitHist.ObserveEx(time.Since(start), txn)
-	s.db.tracer.Emit(s.txn, "host", "2pc_done", "")
 	s.finishTxn()
 	return nil
 }

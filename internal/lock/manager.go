@@ -111,8 +111,8 @@ type Config struct {
 	// Obs, when set, exposes the manager's counters and the lock-wait
 	// histogram on the registry (lock_* metric names).
 	Obs *obs.Registry
-	// Tracer, when set, receives wait/grant/deadlock/timeout/escalation
-	// events keyed by the local transaction id.
+	// Tracer, when set, receives lock-wait spans and deadlock/timeout/
+	// escalation marks, resolved from the local transaction id by BindTxn.
 	Tracer *obs.Tracer
 	// Flight, when set, records every deadlock/timeout victim with the
 	// wait-for graph at that instant and the victim's span tree — the
@@ -405,7 +405,6 @@ func (m *Manager) acquireLocked(sh *shard, txn int64, ts *txnState, tg Target, w
 		ls.queue = append(ls.queue, w)
 	}
 	m.waits.Add(1)
-	m.tracer.Emitf(txn, "lock", "lock_wait", "%s on %s", want, tg)
 	sh.mu.Unlock()
 
 	// The wait span attributes blocked time to the transaction's trace
@@ -445,7 +444,6 @@ func (m *Manager) acquireLocked(sh *shard, txn int64, ts *txnState, tg Target, w
 	select {
 	case <-w.granted:
 		m.waitHist.Observe(time.Since(waitStart))
-		m.tracer.Emitf(txn, "lock", "lock_grant", "%s on %s after %v", want, tg, time.Since(waitStart).Round(time.Microsecond))
 		span.Attr("outcome", "grant").End()
 		return nil
 	case <-timeoutC:

@@ -13,9 +13,9 @@ import (
 // Admin assembles the HTTP admin surface:
 //
 //	/metrics            Prometheus text exposition of every registry
-//	/debug/traces       JSON trace events; ?txn=<id> filters to one chain
 //	/debug/locks        live lock-table and waits-for dump
-//	/debug/txn/<id>     one transaction: span tree, timeline, attribution
+//	/debug/txn/<id>     one transaction: spans and marks, timeline,
+//	                    attribution; id 0 is the process events
 //	/debug/slow         slow-transaction log (N slowest span trees)
 //	/debug/waitgraph    live wait-for graph + flight-recorder history
 //	/debug/cluster      placement maps: membership, slot owners, moves
@@ -24,7 +24,7 @@ import (
 type Admin struct {
 	// Registries are scraped in order by /metrics.
 	Registries []*Registry
-	// Tracer backs /debug/traces, /debug/txn, and /debug/slow.
+	// Tracer backs /debug/txn and /debug/slow.
 	Tracer *Tracer
 	// LockDump, when set, supplies the /debug/locks payload (the lock
 	// manager's Dump result); it is JSON-encoded as-is.
@@ -76,24 +76,6 @@ func (a *Admin) Handler() http.Handler {
 		}
 		bw.Flush()
 	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		events := a.Tracer.Events()
-		if q := req.URL.Query().Get("txn"); q != "" {
-			txn, err := strconv.ParseInt(q, 10, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad txn %q: %v", q, err), http.StatusBadRequest)
-				return
-			}
-			events = a.Tracer.ByTxn(txn)
-		}
-		if events == nil {
-			events = []Event{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(events) //nolint:errcheck
-	})
 	mux.HandleFunc("/debug/locks", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		var dump any
@@ -115,16 +97,11 @@ func (a *Admin) Handler() http.Handler {
 		if spans == nil {
 			spans = []Span{}
 		}
-		events := a.Tracer.ByTxn(txn)
-		if events == nil {
-			events = []Event{}
-		}
 		payload := map[string]any{
 			"txn":         txn,
 			"spans":       spans,
 			"timeline":    RenderTree(spans),
 			"attribution": a.Tracer.Attribution(txn),
-			"events":      events,
 		}
 		writeJSON(w, payload)
 	})

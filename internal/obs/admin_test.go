@@ -14,10 +14,12 @@ func TestAdminEndpoints(t *testing.T) {
 	reg := New().Label("server", "fs1")
 	reg.Counter("dlfm_links_total").Add(2)
 	reg.Histogram("lock_wait_seconds").Observe(time.Millisecond)
-	tr := NewTracer(64)
-	tr.Emit(7, "agent", "link", "/data/f1")
-	tr.Emit(7, "agent", "prepare_vote_yes", "")
-	tr.Emit(8, "agent", "link", "/data/f2")
+	tr := NewTracerCfg(TracerConfig{})
+	root := tr.StartRoot(7, "host", "commit")
+	tr.StartSpan(root.Ctx(), "agent", "handle:Commit").End()
+	tr.Emit(7, "2pc", "phase2_giveup", "commit")
+	root.End()
+	tr.Emit(8, "agent", "prepare_vote_no", "")
 
 	admin := &Admin{
 		Registries: []*Registry{reg},
@@ -49,19 +51,23 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("unexpected /metrics:\n%s", metrics)
 	}
 
-	traces, _ := get("/debug/traces?txn=7")
-	var events []Event
-	if err := json.Unmarshal([]byte(traces), &events); err != nil {
-		t.Fatalf("traces decode: %v", err)
+	// /debug/txn/<id> is the one place a transaction's record is read:
+	// spans and marks on one timeline, attribution folded on request.
+	var txn struct {
+		Spans       []Span
+		Timeline    []string
+		Attribution Attribution
+		Events      []any
 	}
-	if len(events) != 2 || events[0].Kind != "link" || events[1].Kind != "prepare_vote_yes" {
-		t.Fatalf("traces = %v", events)
+	body, _ := get("/debug/txn/7")
+	if err := json.Unmarshal([]byte(body), &txn); err != nil {
+		t.Fatalf("txn decode: %v", err)
 	}
-
-	all, _ := get("/debug/traces")
-	var allEvents []Event
-	if err := json.Unmarshal([]byte(all), &allEvents); err != nil || len(allEvents) != 3 {
-		t.Fatalf("all traces = %v (err %v)", allEvents, err)
+	if len(txn.Spans) != 3 || len(txn.Timeline) != 3 || txn.Events != nil || txn.Attribution.RootNS <= 0 {
+		t.Fatalf("/debug/txn/7 = %s", body)
+	}
+	if last := txn.Spans[2]; !last.Mark || last.Op != "phase2_giveup" || !strings.Contains(txn.Timeline[2], "2pc/phase2_giveup detail=commit") {
+		t.Fatalf("mark missing from the timeline: %s", body)
 	}
 
 	locks, _ := get("/debug/locks")
@@ -73,13 +79,18 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("locks dump = %v", dump)
 	}
 
-	// Bad txn filter is a 400, not a panic.
-	resp, err := http.Get(ts.URL + "/debug/traces?txn=abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad txn filter status = %d", resp.StatusCode)
+	// A bad txn id is a 400, not a panic; the event-ring endpoint is gone.
+	for path, want := range map[string]int{
+		"/debug/txn/abc": http.StatusBadRequest,
+		"/debug/traces":  http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s status = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }

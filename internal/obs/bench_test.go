@@ -29,7 +29,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 func BenchmarkTracerEmit(b *testing.B) {
-	tr := NewTracer(4096)
+	tr := NewTracerCfg(TracerConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(int64(i), "bench", "op", "")

@@ -1,8 +1,8 @@
 // Package obs is the observability substrate of the reproduction: a
 // dependency-free registry of named counters, gauges, and fixed-bucket
-// latency histograms, a bounded ring-buffer trace log of structured 2PC
-// lifecycle events, and an HTTP admin endpoint serving Prometheus-format
-// metrics, per-transaction traces, and live lock-table dumps.
+// latency histograms, one bounded ring of per-transaction spans and marks,
+// and an HTTP admin endpoint serving Prometheus-format metrics,
+// per-transaction traces, and live lock-table dumps.
 //
 // Every lesson in Section 4 of the paper — lock escalation "bringing the
 // system to its knees", next-key deadlocks, the 60 s timeout, log-full

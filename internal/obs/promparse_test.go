@@ -141,3 +141,63 @@ func TestPromParseEmpty(t *testing.T) {
 		t.Fatalf("empty parse produced data: %+v", got)
 	}
 }
+
+// FuzzParsePromText: /cluster/metrics parses text a peer supplies, so the
+// parser must reject garbage with an error, never a panic — and whatever
+// WriteProm emits must parse back to the registry's own counters and
+// histogram buckets.
+func FuzzParsePromText(f *testing.F) {
+	reg := New().Label("server", "fs1")
+	reg.Counter("fz_ops_total").Add(9)
+	reg.Gauge("fz_depth").Set(3)
+	reg.Histogram("fz_seconds").ObserveEx(40*time.Millisecond, 77)
+	var page bytes.Buffer
+	if err := reg.WriteProm(&page); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		page.String(),
+		"",
+		"fz_ops_total",                         // no value
+		"fz_ops_total{server=\"fs1\" 1",        // unterminated label set
+		"fz_ops_total{server=\"fs1} 1",         // unterminated label value
+		"fz_ops_total{server} 1",               // malformed label
+		"fz_ops_total{server=\"a\\\"b\\n\"} x", // escapes, bad value
+		"# TYPE h histogram\nh_bucket{le=\"abc\"} 1",
+		"# TYPE h histogram\nh_bucket{le=\"0.1\"} 5\nh_bucket{le=\"0.2\"} 3\nh_bucket{le=\"+Inf\"} 5", // non-monotonic
+		"# TYPE h histogram\nh_bucket{le=\"0.1\"} 5\nh_bucket{le=\"+Inf\"} 2",                         // +Inf below last bound
+		"# TYPE h histogram\nh_bucket{le=\"0.1\"} NaN\nh_sum 1e308\nh_count -1\nh_max +Inf",
+	} {
+		f.Add([]byte(seed), int64(41), int64(350*time.Microsecond))
+	}
+	f.Fuzz(func(t *testing.T, text []byte, n, durNS int64) {
+		ParsePromText(bytes.NewReader(text)) //nolint:errcheck // must not panic; errors are the point
+
+		reg := New().Label("server", string(text))
+		reg.Counter("rt_total").Add(n)
+		h := reg.Histogram("rt_seconds")
+		h.Observe(time.Duration(durNS))
+		h.Observe(time.Millisecond)
+		var buf bytes.Buffer
+		if err := reg.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParsePromText(&buf)
+		if err != nil {
+			t.Fatalf("own exposition does not parse: %v\n%s", err, buf.String())
+		}
+		want := reg.Export()
+		if got.Counters["rt_total"] != want.Counters["rt_total"] {
+			t.Fatalf("counter: parsed %d, want %d", got.Counters["rt_total"], want.Counters["rt_total"])
+		}
+		gh, wh := got.Hists["rt_seconds"], want.Hists["rt_seconds"]
+		if gh.Count != wh.Count || len(gh.BucketCounts) != len(wh.BucketCounts) {
+			t.Fatalf("histogram: parsed %+v, want %+v", gh, wh)
+		}
+		for i := range wh.BucketCounts {
+			if gh.BucketCounts[i] != wh.BucketCounts[i] {
+				t.Fatalf("bucket %d: parsed %d, want %d", i, gh.BucketCounts[i], wh.BucketCounts[i])
+			}
+		}
+	})
+}

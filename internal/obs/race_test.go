@@ -7,7 +7,7 @@ import (
 )
 
 // TestContention hammers one registry's counters, gauges, histograms, and
-// a shared trace ring from many goroutines, interleaved with scrapes. It
+// a shared span ring from many goroutines, interleaved with scrapes. It
 // exists to be run under -race; the final counts double as a lost-update
 // check.
 func TestContention(t *testing.T) {
@@ -16,7 +16,7 @@ func TestContention(t *testing.T) {
 		iterations = 2000
 	)
 	r := New()
-	tr := NewTracer(1024)
+	tr := NewTracerCfg(TracerConfig{SpanCapacity: 1024})
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -46,7 +46,7 @@ func TestContention(t *testing.T) {
 		var sink nopWriter
 		for i := 0; i < 50; i++ {
 			r.WriteProm(&sink) //nolint:errcheck
-			_ = tr.Events()
+			_ = tr.Spans()
 		}
 	}()
 	wg.Wait()
@@ -61,8 +61,8 @@ func TestContention(t *testing.T) {
 	if got := r.Gauge("depth").Load(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	if got := len(tr.Events()); got != 1024 {
-		t.Fatalf("trace ring = %d events, want full 1024", got)
+	if got := len(tr.Spans()); got != 1024 {
+		t.Fatalf("span ring = %d records, want full 1024", got)
 	}
 }
 

@@ -263,10 +263,12 @@ func NewMetricsSnapshot() MetricsSnapshot {
 }
 
 // Export copies every metric into a MetricsSnapshot. GaugeFuncs are
-// evaluated at export time.
+// evaluated at export time, after the registry lock is released: a gauge
+// function may take its owner's lock (engine_lock_pressure takes the
+// engine latch), and that owner registers metrics while holding it
+// (engine.Crash rebuilds the lock manager under the latch).
 func (r *Registry) Export() MetricsSnapshot {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := NewMetricsSnapshot()
 	for n, c := range r.counters {
 		s.Counters[n] = c.Load()
@@ -274,11 +276,16 @@ func (r *Registry) Export() MetricsSnapshot {
 	for n, g := range r.gauges {
 		s.Gauges[n] = float64(g.Load())
 	}
+	gaugeFns := make(map[string]func() float64, len(r.gaugeFns))
 	for n, f := range r.gaugeFns {
-		s.Gauges[n] = f()
+		gaugeFns[n] = f
 	}
 	for n, h := range r.hists {
 		s.Hists[n] = h.Export()
+	}
+	r.mu.Unlock()
+	for n, f := range gaugeFns {
+		s.Gauges[n] = f()
 	}
 	return s
 }

@@ -9,14 +9,16 @@ import (
 	"time"
 )
 
-// Spans give the flat trace-event ring a causal skeleton: every sampled
+// The span store is the program's only trace record: every sampled
 // transaction produces a tree of timed intervals — host commit at the root,
 // phase-1/phase-2 RPC calls per participant below it, agent dispatch, lock
 // waits, and WAL fsyncs at the leaves — stitched across processes by
-// carrying SpanCtx in the RPC envelope. The paper's hardest incidents
-// (escalation "bringing the system to its knees", next-key deadlocks, the
-// 60 s distributed timeout) were all diagnosis failures; the span tree is
-// the instrument DLFM's builders did not have.
+// carrying SpanCtx in the RPC envelope, plus zero-duration marks (Emit) for
+// the rare facts no interval carries. Attribution, the slow log and the
+// flight recorder are folds of it, computed when asked for. The paper's
+// hardest incidents (escalation "bringing the system to its knees",
+// next-key deadlocks, the 60 s distributed timeout) were all diagnosis
+// failures; the span tree is the instrument DLFM's builders did not have.
 
 // Default tracer-config knobs; see TracerConfig.
 const (
@@ -56,9 +58,9 @@ type Attr struct {
 	V string `json:"v"`
 }
 
-// Span is one timed interval in a trace tree. StartNS is monotonic
-// (nanoseconds since the tracer started), the same clock as Event.AtNS, so
-// spans and flat events interleave on one timeline. Open marks a span
+// Span is one timed interval in a trace tree, or (Mark) one instant in it.
+// StartNS is monotonic (nanoseconds since the tracer started), so spans and
+// marks from every component interleave on one timeline. Open flags a span
 // still in flight when it was snapshotted (its DurNS is elapsed-so-far).
 type Span struct {
 	Trace   int64  `json:"trace"`
@@ -70,18 +72,17 @@ type Span struct {
 	DurNS   int64  `json:"dur_ns"`
 	Root    bool   `json:"root,omitempty"`
 	Open    bool   `json:"open,omitempty"`
+	Mark    bool   `json:"mark,omitempty"`
 	Attrs   []Attr `json:"attrs,omitempty"`
 }
 
 // TracerConfig sizes a tracer. Zero values take defaults, so the zero
-// config is the stock tracer: full sampling, 8 Ki event + span rings, a
-// 100 ms slow-transaction threshold keeping the 16 slowest trees.
+// config is the stock tracer: full sampling, an 8 Ki span ring, a 100 ms
+// slow-transaction threshold keeping the 16 slowest trees.
 type TracerConfig struct {
-	// Capacity is the trace-event ring size (Event records).
-	Capacity int
-	// SpanCapacity is the completed-span ring size.
+	// SpanCapacity is the ring size (completed spans and marks).
 	SpanCapacity int
-	// SampleRate selects which transactions get span trees: 0 means the
+	// SampleRate selects which transactions are recorded: 0 means the
 	// default (sample everything), negative disables sampling entirely,
 	// and 0 < rate <= 1 samples that fraction of transactions by a
 	// deterministic hash of the txn id (so reruns trace the same txns).
@@ -95,9 +96,6 @@ type TracerConfig struct {
 }
 
 func (c TracerConfig) withDefaults() TracerConfig {
-	if c.Capacity <= 0 {
-		c.Capacity = DefaultTraceCapacity
-	}
 	if c.SpanCapacity <= 0 {
 		c.SpanCapacity = DefaultSpanCapacity
 	}
@@ -113,8 +111,8 @@ func (c TracerConfig) withDefaults() TracerConfig {
 	return c
 }
 
-// spanStore is the span half of a tracer's shared state: a bounded ring of
-// completed spans plus a table of still-open spans, so a victim captured
+// spanStore is the state Named tracers share: a bounded ring of completed
+// spans and marks plus a table of still-open spans, so a victim captured
 // mid-flight (lock timeout, deadlock) still shows its partial tree.
 type spanStore struct {
 	start time.Time
@@ -139,28 +137,26 @@ type txnBinds struct {
 	m  map[int64]SpanCtx
 }
 
-// NewTracerCfg returns a tracer with spans, a slow-transaction log, and
-// the given sampling rate. NewTracer(capacity) is equivalent to
-// NewTracerCfg(TracerConfig{Capacity: capacity}).
+// NewTracerCfg returns a tracer; the zero config takes every default.
 func NewTracerCfg(cfg TracerConfig) *Tracer {
 	cfg = cfg.withDefaults()
-	t := newEventRing(cfg.Capacity)
-	t.s = &spanStore{
-		start: t.r.start,
-		rate:  cfg.SampleRate,
-		buf:   make([]Span, cfg.SpanCapacity),
-		open:  make(map[int64]*Span),
-		slow:  slowLog{threshold: int64(cfg.SlowThreshold), keep: cfg.SlowKeep},
+	return &Tracer{
+		s: &spanStore{
+			start: time.Now(),
+			rate:  cfg.SampleRate,
+			buf:   make([]Span, cfg.SpanCapacity),
+			open:  make(map[int64]*Span),
+			slow:  slowLog{threshold: int64(cfg.SlowThreshold), keep: cfg.SlowKeep},
+		},
+		binds: &txnBinds{m: make(map[int64]SpanCtx)},
 	}
-	t.binds = &txnBinds{m: make(map[int64]SpanCtx)}
-	return t
 }
 
 // Sampled reports whether the given transaction's spans are recorded. The
 // decision is a deterministic hash of the txn id so a replayed run samples
 // the same transactions.
 func (t *Tracer) Sampled(txn int64) bool {
-	if t == nil || t.s == nil || txn == 0 {
+	if t == nil || txn == 0 {
 		return false
 	}
 	s := t.s
@@ -254,7 +250,7 @@ func (h *SpanHandle) Ctx() SpanCtx {
 
 // Attr annotates the span. Nil-safe; returns h for chaining.
 func (h *SpanHandle) Attr(k, v string) *SpanHandle {
-	if h == nil || h.t == nil || h.t.s == nil {
+	if h == nil {
 		return h
 	}
 	s := h.t.s
@@ -270,7 +266,7 @@ func (h *SpanHandle) Attr(k, v string) *SpanHandle {
 // ring. Ending twice is a no-op. If the span is a root at or above the
 // slow threshold, the whole trace tree is captured into the slow log.
 func (h *SpanHandle) End() {
-	if h == nil || h.t == nil || h.t.s == nil {
+	if h == nil {
 		return
 	}
 	s := h.t.s
@@ -311,7 +307,7 @@ func (s *spanStore) pushLocked(sp Span) {
 // table is scoped to this Tracer instance (one per engine — Named hands
 // out a fresh one), because local txn ids collide across engines.
 func (t *Tracer) BindTxn(txn int64, ctx SpanCtx) {
-	if t == nil || t.binds == nil || txn == 0 || !ctx.Valid() {
+	if t == nil || txn == 0 || !ctx.Valid() {
 		return
 	}
 	b := t.binds
@@ -324,7 +320,7 @@ func (t *Tracer) BindTxn(txn int64, ctx SpanCtx) {
 
 // UnbindTxn drops a BindTxn association (at commit/rollback).
 func (t *Tracer) UnbindTxn(txn int64) {
-	if t == nil || t.binds == nil {
+	if t == nil {
 		return
 	}
 	b := t.binds
@@ -336,7 +332,7 @@ func (t *Tracer) UnbindTxn(txn int64) {
 // CtxOf returns the span context bound to an engine-local txn id, or the
 // zero context.
 func (t *Tracer) CtxOf(txn int64) SpanCtx {
-	if t == nil || t.binds == nil {
+	if t == nil {
 		return SpanCtx{}
 	}
 	b := t.binds
@@ -349,7 +345,7 @@ func (t *Tracer) CtxOf(txn int64) SpanCtx {
 // Spans returns a copy of the completed-span ring plus all open spans
 // (marked Open, DurNS = elapsed so far), ordered by start time.
 func (t *Tracer) Spans() []Span {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return nil
 	}
 	s := t.s
@@ -364,7 +360,7 @@ func (t *Tracer) Spans() []Span {
 // SpansByTrace returns one trace's spans (completed + open), ordered by
 // start time.
 func (t *Tracer) SpansByTrace(trace int64) []Span {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return nil
 	}
 	s := t.s
@@ -394,27 +390,35 @@ func (s *spanStore) allLocked(at int64) []Span {
 	return out
 }
 
+// byTraceLocked copies out one trace's records, oldest first, at most
+// maxSpansPerEntry of them. It runs under the mutex every End needs (and
+// inside End for slow-root capture), so it walks the ring by index and
+// copies only the matches.
 func (s *spanStore) byTraceLocked(trace int64, at int64) []Span {
 	var out []Span
-	add := func(sp Span) {
-		if sp.Trace == trace && len(out) < maxSpansPerEntry {
-			out = append(out, sp)
+	scan := func(buf []Span) {
+		for i := range buf {
+			if len(out) == maxSpansPerEntry {
+				return
+			}
+			if buf[i].Trace == trace {
+				out = append(out, buf[i])
+			}
 		}
 	}
 	if s.full {
-		for _, sp := range s.buf[s.next:] {
-			add(sp)
-		}
+		scan(s.buf[s.next:])
 	}
-	for _, sp := range s.buf[:s.next] {
-		add(sp)
-	}
+	scan(s.buf[:s.next])
 	for _, sp := range s.open {
+		if len(out) == maxSpansPerEntry {
+			break
+		}
 		if sp.Trace == trace {
 			c := *sp
 			c.Open = true
 			c.DurNS = at - c.StartNS
-			add(c)
+			out = append(out, c)
 		}
 	}
 	return out
@@ -432,14 +436,16 @@ func sortSpans(spans []Span) {
 // SlowEntries returns the retained slow-transaction captures, slowest
 // first. Nil-safe.
 func (t *Tracer) SlowEntries() []SlowEntry {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return nil
 	}
 	return t.s.slow.entries()
 }
 
-// RenderTree renders a trace's spans as an indented timeline, parents
-// before children, for the /debug/txn endpoint and test failures.
+// RenderTree renders a trace's spans and marks as an indented timeline,
+// parents before children, for the /debug/txn endpoint and test failures.
+// A mark emitted under a bare trace id knows no parent; it is shown under
+// the latest-started span that contains its instant.
 func RenderTree(spans []Span) []string {
 	children := make(map[int64][]Span)
 	byID := make(map[int64]bool, len(spans))
@@ -448,8 +454,12 @@ func RenderTree(spans []Span) []string {
 	}
 	var roots []Span
 	for _, sp := range spans {
-		if sp.Parent != 0 && byID[sp.Parent] {
-			children[sp.Parent] = append(children[sp.Parent], sp)
+		parent := sp.Parent
+		if sp.Mark && !byID[parent] {
+			parent = enclosing(spans, sp.StartNS)
+		}
+		if parent != 0 && byID[parent] {
+			children[parent] = append(children[parent], sp)
 		} else {
 			roots = append(roots, sp)
 		}
@@ -457,6 +467,10 @@ func RenderTree(spans []Span) []string {
 	var out []string
 	var walk func(sp Span, depth int)
 	walk = func(sp Span, depth int) {
+		dur := fmt.Sprintf("+%.3fms", float64(sp.DurNS)/1e6)
+		if sp.Mark {
+			dur = "mark"
+		}
 		state := ""
 		if sp.Open {
 			state = " (open)"
@@ -465,9 +479,9 @@ func RenderTree(spans []Span) []string {
 		for _, a := range sp.Attrs {
 			attrs += fmt.Sprintf(" %s=%s", a.K, a.V)
 		}
-		out = append(out, fmt.Sprintf("%10.3fms %s+%.3fms %s/%s%s%s",
+		out = append(out, fmt.Sprintf("%10.3fms %s%s %s/%s%s%s",
 			float64(sp.StartNS)/1e6, strings.Repeat("  ", depth),
-			float64(sp.DurNS)/1e6, sp.Comp, sp.Op, attrs, state))
+			dur, sp.Comp, sp.Op, attrs, state))
 		for _, c := range children[sp.ID] {
 			walk(c, depth+1)
 		}
@@ -476,6 +490,19 @@ func RenderTree(spans []Span) []string {
 		walk(r, 0)
 	}
 	return out
+}
+
+// enclosing returns the id of the latest-started interval among spans that
+// contains the instant at, 0 if none does.
+func enclosing(spans []Span, at int64) int64 {
+	var id, start int64 = 0, -1
+	for i := range spans {
+		sp := &spans[i]
+		if !sp.Mark && sp.StartNS <= at && at <= sp.StartNS+sp.DurNS && sp.StartNS >= start {
+			id, start = sp.ID, sp.StartNS
+		}
+	}
+	return id
 }
 
 // --- Latency attribution ----------------------------------------------------
@@ -491,9 +518,6 @@ type Attribution struct {
 	Buckets map[string]int64 `json:"buckets,omitempty"`
 	OtherNS int64            `json:"other_ns"`
 }
-
-// AttributionBuckets lists every bucket name in export order.
-var AttributionBuckets = []string{"lock_wait", "wal_fsync", "rpc", "phase1", "phase2", "daemon"}
 
 // BucketOf maps a span to its attribution bucket, "" if unbucketed.
 func BucketOf(sp Span) string {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSpanTreeBasics(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	root := tr.StartRoot(7, "host", "commit")
 	if root == nil {
 		t.Fatal("root span not created (spans should be on by default)")
@@ -97,7 +97,7 @@ func TestSpanSampling(t *testing.T) {
 }
 
 func TestTxnBinding(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	ctx := SpanCtx{Trace: 42, Span: 9}
 	tr.BindTxn(5, ctx)
 	if got := tr.CtxOf(5); got != ctx {
@@ -141,7 +141,7 @@ func push(tr *Tracer, sp Span) {
 }
 
 func TestAttributionSelfTime(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	const trace = 11
 	ms := int64(time.Millisecond)
 	// commit(100ms) ├ phase1(60ms) ─ rpc:Prepare(40ms) ─ handle(35ms) ─ lock_wait(10ms)
@@ -182,29 +182,41 @@ func TestAttributionSelfTime(t *testing.T) {
 }
 
 func TestSlowLogKeepsSlowest(t *testing.T) {
-	tr := NewTracerCfg(TracerConfig{SlowThreshold: time.Nanosecond, SlowKeep: 2})
-	for txn := int64(1); txn <= 3; txn++ {
-		root := tr.StartRoot(txn, "host", "commit")
-		time.Sleep(time.Duration(txn) * time.Millisecond)
-		root.End()
+	l := slowLog{threshold: 10, keep: 2}
+	for _, d := range []int64{5, 20, 30, 10, 25} {
+		if l.wants(d) {
+			l.add(SlowEntry{Trace: d, DurNS: d})
+		}
 	}
-	entries := tr.SlowEntries()
-	if len(entries) != 2 {
-		t.Fatalf("kept %d entries, want 2", len(entries))
+	entries := l.entries()
+	if len(entries) != 2 || entries[0].DurNS != 30 || entries[1].DurNS != 25 {
+		t.Fatalf("kept %+v, want the two slowest (30, 25) slowest first", entries)
 	}
-	if entries[0].DurNS < entries[1].DurNS {
-		t.Fatal("slow log not sorted slowest first")
+	if l.wants(9) || l.wants(25) || !l.wants(26) {
+		t.Fatal("wants: below threshold or not beating the fastest retained entry must be refused")
 	}
-	if entries[0].Trace != 3 {
-		t.Fatalf("slowest should be txn 3, got %d", entries[0].Trace)
+
+	// End captures a slow root with its whole tree. The root is backdated
+	// instead of slept through.
+	backdate := func(tr *Tracer, h *SpanHandle) {
+		tr.s.mu.Lock()
+		tr.s.open[h.Ctx().Span].StartNS -= int64(time.Second)
+		tr.s.mu.Unlock()
 	}
-	if len(entries[0].Spans) == 0 {
-		t.Fatal("slow entry lost its span tree")
+	tr := NewTracerCfg(TracerConfig{})
+	root := tr.StartRoot(9, "host", "commit")
+	tr.StartSpan(root.Ctx(), "host", "phase1").End()
+	tr.Emit(9, "2pc", "phase2_giveup", "commit")
+	backdate(tr, root)
+	root.End()
+	got := tr.SlowEntries()
+	if len(got) != 1 || got[0].Trace != 9 || got[0].DurNS < int64(time.Second) || len(got[0].Spans) != 3 {
+		t.Fatalf("slow capture = %+v, want txn 9 with root, child and mark", got)
 	}
 
 	disabled := NewTracerCfg(TracerConfig{SlowThreshold: -1})
-	root := disabled.StartRoot(9, "host", "commit")
-	time.Sleep(time.Millisecond)
+	root = disabled.StartRoot(9, "host", "commit")
+	backdate(disabled, root)
 	root.End()
 	if len(disabled.SlowEntries()) != 0 {
 		t.Fatal("negative threshold should disable the slow log")

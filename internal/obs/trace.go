@@ -2,74 +2,24 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// DefaultTraceCapacity is the ring size servers use when none is given:
-// large enough to hold the full 2PC lifecycle of hundreds of concurrent
-// transactions, small enough to be dumped whole over the admin endpoint.
-const DefaultTraceCapacity = 8192
-
-// Event is one structured trace record. At is monotonic (nanoseconds since
-// the tracer started), so the ordering of one transaction's chain —
-// host txn begin → RPC send/recv → agent dispatch → lock wait → WAL append
-// → prepare vote → phase-2 commit — is exact even across components.
-type Event struct {
-	Seq    int64  `json:"seq"`
-	AtNS   int64  `json:"at_ns"`
-	Txn    int64  `json:"txn"`
-	Comp   string `json:"comp"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// String renders the event for logs and test failures.
-func (e Event) String() string {
-	return fmt.Sprintf("%10.3fms txn=%d %s/%s %s",
-		float64(e.AtNS)/1e6, e.Txn, e.Comp, e.Kind, e.Detail)
-}
-
-// ring is the shared bounded buffer behind one or more Tracer handles.
-type ring struct {
-	mu    sync.Mutex
-	start time.Time
-	seq   int64
-	buf   []Event
-	next  int
-	full  bool
-}
-
-// Tracer records events into a bounded ring buffer, overwriting the oldest
-// when full. All methods are safe for concurrent use and safe on a nil
-// receiver, so components can be instrumented unconditionally.
+// Tracer records one transaction's spans and marks into a bounded ring,
+// overwriting the oldest when full. All methods are safe for concurrent
+// use and safe on a nil receiver, so components can be instrumented
+// unconditionally.
 //
-// Named returns a derived handle over the same ring whose component names
+// Named returns a derived handle over the same store whose component names
 // are prefixed (a stack with several DLFMs gives each a Named view so one
-// transaction's events interleave in a single chronological chain).
+// transaction's records interleave on a single chronological timeline).
 type Tracer struct {
-	r      *ring
-	s      *spanStore // span tree store; nil on span-less tracers
-	binds  *txnBinds  // per-engine txn-id bindings; see BindTxn
+	s      *spanStore
+	binds  *txnBinds // per-engine txn-id bindings; see BindTxn
 	prefix string
 }
 
-// NewTracer returns a tracer with the given ring capacity (<= 0 uses
-// DefaultTraceCapacity) and default span/sampling/slow-log settings;
-// NewTracerCfg takes full control.
-func NewTracer(capacity int) *Tracer {
-	return NewTracerCfg(TracerConfig{Capacity: capacity})
-}
-
-// newEventRing builds the bare tracer around an event ring.
-func newEventRing(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Tracer{r: &ring{start: time.Now(), buf: make([]Event, capacity)}}
-}
-
-// Named returns a tracer sharing this ring that prefixes every component
+// Named returns a tracer sharing this store that prefixes every component
 // name with name + "/". The span store (ring, slow log, sampling) is
 // shared; the txn-bind table is fresh, because a named tracer belongs to a
 // different engine whose local txn ids collide with everyone else's.
@@ -77,39 +27,40 @@ func (t *Tracer) Named(name string) *Tracer {
 	if t == nil {
 		return nil
 	}
-	nt := &Tracer{r: t.r, s: t.s, prefix: t.prefix + name + "/"}
-	if t.s != nil {
-		nt.binds = &txnBinds{m: make(map[int64]SpanCtx)}
-	}
-	return nt
+	return &Tracer{s: t.s, prefix: t.prefix + name + "/", binds: &txnBinds{m: make(map[int64]SpanCtx)}}
 }
 
-// Emit records one event. Nil-safe.
+// Emit records a mark: a zero-duration span for a fact no interval carries
+// (a no vote, a phase-2 give-up, a deadlock victim, a failover). txn is
+// whichever id the caller has: an engine-local id bound with BindTxn
+// resolves to its trace and current span, as lock-wait spans do; any other
+// id is the trace id itself. Marks follow their trace's sampling decision;
+// txn 0 marks are process events and are always kept. Nil-safe.
 func (t *Tracer) Emit(txn int64, comp, kind, detail string) {
 	if t == nil {
 		return
 	}
-	r := t.r
-	at := time.Since(r.start)
-	r.mu.Lock()
-	r.seq++
-	r.buf[r.next] = Event{
-		Seq:    r.seq,
-		AtNS:   int64(at),
-		Txn:    txn,
-		Comp:   t.prefix + comp,
-		Kind:   kind,
-		Detail: detail,
+	ctx := t.CtxOf(txn)
+	if !ctx.Valid() {
+		ctx.Trace = txn
 	}
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
+	if ctx.Trace != 0 && !t.Sampled(ctx.Trace) {
+		return
 	}
-	r.mu.Unlock()
+	m := Span{Trace: ctx.Trace, Parent: ctx.Span, Comp: t.prefix + comp, Op: kind, Mark: true}
+	if detail != "" {
+		m.Attrs = []Attr{{K: "detail", V: detail}}
+	}
+	s := t.s
+	m.StartNS = int64(time.Since(s.start))
+	s.mu.Lock()
+	s.nextID++
+	m.ID = s.nextID
+	s.pushLocked(m)
+	s.mu.Unlock()
 }
 
-// Emitf records one event with a formatted detail. Use only off the hot
+// Emitf records one mark with a formatted detail. Use only off the hot
 // path: the formatting allocates.
 func (t *Tracer) Emitf(txn int64, comp, kind, format string, args ...any) {
 	if t == nil {
@@ -118,32 +69,13 @@ func (t *Tracer) Emitf(txn int64, comp, kind, format string, args ...any) {
 	t.Emit(txn, comp, kind, fmt.Sprintf(format, args...))
 }
 
-// Events returns a chronological copy of the buffered events. Nil-safe
-// (returns nil).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	r := t.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Event
-	if r.full {
-		out = make([]Event, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf[:r.next]...)
-	}
-	return out
-}
-
-// ByTxn returns the buffered events for one transaction, chronological.
-func (t *Tracer) ByTxn(txn int64) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Txn == txn {
-			out = append(out, e)
+// ByTxn returns one trace's marks, chronological; ByTxn(0) is the process
+// events. Nil-safe.
+func (t *Tracer) ByTxn(txn int64) []Span {
+	var out []Span
+	for _, sp := range t.SpansByTrace(txn) {
+		if sp.Mark {
+			out = append(out, sp)
 		}
 	}
 	return out

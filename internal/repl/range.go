@@ -140,7 +140,6 @@ func (ap *applier) apply(db *engine.DB, r wal.Record) error {
 		if err == nil {
 			delete(ap.pending, r.Txn)
 			ap.countTxn()
-			ap.tracer.Emitf(r.Txn, "repl", "apply", "commit, %d records", n)
 		}
 		sp.Attr("records", strconv.Itoa(n)).End()
 		return err

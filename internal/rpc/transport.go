@@ -120,7 +120,6 @@ type AgentFactory interface {
 // done is buffered (capacity 1) and receives exactly one CallResult: either
 // the matched reply or a transport error when the connection dies.
 type pendingCall struct {
-	req  any
 	done chan CallResult
 }
 
@@ -175,7 +174,7 @@ type Client struct {
 	retries       int                     // reconnect/re-issue attempts
 }
 
-// SetTracer directs rpc_send/rpc_recv trace events at tr (nil disables).
+// SetTracer directs rpc_reissue/rpc_reconnect marks at tr (nil disables).
 func (c *Client) SetTracer(tr *obs.Tracer) { c.tracer = tr }
 
 // SetCallTimeout overrides the per-call I/O deadline (0 restores the
@@ -276,18 +275,18 @@ func (c *Client) call1(ctx obs.SpanCtx, req any, sent *bool) (Response, error) {
 	timeout := c.callTimeout()
 	if timeout < 0 {
 		res := <-pc.done
-		return c.finish(pc, res)
+		return c.finish(res)
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case res := <-pc.done:
-		return c.finish(pc, res)
+		return c.finish(res)
 	case <-timer.C:
 		// Prefer a reply that raced the timer.
 		select {
 		case res := <-pc.done:
-			return c.finish(pc, res)
+			return c.finish(res)
 		default:
 		}
 		c.severGen(gen)
@@ -299,12 +298,11 @@ func (c *Client) call1(ctx obs.SpanCtx, req any, sent *bool) (Response, error) {
 }
 
 // finish completes one call's accounting and unwraps its result.
-func (c *Client) finish(pc *pendingCall, res CallResult) (Response, error) {
+func (c *Client) finish(res CallResult) (Response, error) {
 	rpcStats.inflight.Add(-1)
 	if res.Err != nil {
 		return Response{}, res.Err
 	}
-	c.tracer.Emit(TxnOf(pc.req), "rpc", "rpc_recv", Name(pc.req))
 	return res.Resp, nil
 }
 
@@ -326,7 +324,6 @@ func (c *Client) send(ctx obs.SpanCtx, req any, sent *bool) (*pendingCall, int, 
 		c.mu.Unlock()
 		return nil, 0, err
 	}
-	c.tracer.Emit(TxnOf(req), "rpc", "rpc_send", Name(req))
 	if err := fpSendBefore.FireDetail(Name(req)); err != nil {
 		c.severLocked()
 		c.mu.Unlock()
@@ -334,7 +331,7 @@ func (c *Client) send(ctx obs.SpanCtx, req any, sent *bool) (*pendingCall, int, 
 	}
 	c.seq++
 	seq := c.seq
-	pc := &pendingCall{req: req, done: make(chan CallResult, 1)}
+	pc := &pendingCall{done: make(chan CallResult, 1)}
 	c.pending[seq] = pc
 	if c.timeout == 0 {
 		c.timeout = DefaultCallTimeout

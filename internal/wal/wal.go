@@ -232,8 +232,8 @@ type Log struct {
 }
 
 // Instrument exposes the log's counters on reg (wal_* metric names) and
-// directs trace events — control-record appends and log-full rejections —
-// at tr. Both arguments may be nil. Call before concurrent use.
+// directs log-full marks at tr. Both arguments may be nil. Call before
+// concurrent use.
 func (l *Log) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	l.tracer = tr
 	if reg == nil {
@@ -353,12 +353,6 @@ func (l *Log) Append(r Record) (int64, error) {
 	l.end += size
 	l.appends.Add(1)
 	l.bytes.Add(size)
-	switch r.Type {
-	case RecCommit, RecAbort, RecPrepare, RecCheckpoint:
-		// Only control records are traced; data-record appends are the hot
-		// path and would flood the ring.
-		l.tracer.Emit(r.Txn, "wal", "append", r.Type.String())
-	}
 	return r.LSN, nil
 }
 
@@ -564,11 +558,13 @@ func (l *Log) ReadFrom(lsn int64) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		// Memory log: records are already decoded and LSN-ordered.
+		// Memory log: records are already decoded and LSN-ordered, and a
+		// record never changes once appended, so the caller gets a view
+		// (capacity clipped: its appends cannot reach the log), not a copy
+		// — restart reads the whole log, and a copy of it would be a
+		// quarter of the garbage a recovery makes.
 		i := sort.Search(len(l.mem), func(i int) bool { return l.mem[i].LSN >= lsn })
-		out := make([]Record, len(l.mem)-i)
-		copy(out, l.mem[i:])
-		return out, nil
+		return l.mem[i:len(l.mem):len(l.mem)], nil
 	}
 	if err := l.f.Sync(); err != nil {
 		return nil, fmt.Errorf("wal: sync before scan: %w", err)

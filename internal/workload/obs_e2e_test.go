@@ -10,9 +10,9 @@ import (
 )
 
 // TestTracedCommitChain runs one link transaction end to end and asserts
-// the shared trace ring holds the ordered 2PC lifecycle for that host
-// transaction: begin → RPC → agent link → prepare vote → decision →
-// phase-2 commit.
+// the shared tracer holds the ordered 2PC lifecycle for that host
+// transaction as spans: statement → link RPC → agent link → commit root →
+// prepare → phase 2 — and, nothing having gone wrong, no marks.
 func TestTracedCommitChain(t *testing.T) {
 	st := testStack(t)
 	if err := st.Host.CreateTable(
@@ -39,50 +39,42 @@ func TestTracedCommitChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := st.Tracer.ByTxn(txn)
-	if len(events) == 0 {
-		t.Fatal("no trace events for the transaction")
+	spans := st.Tracer.SpansByTrace(txn)
+	if len(spans) == 0 {
+		t.Fatal("no spans for the transaction")
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq || events[i].AtNS < events[i-1].AtNS {
-			t.Fatalf("events out of order at %d: %v then %v", i, events[i-1], events[i])
+	tree := strings.Join(obs.RenderTree(spans), "\n")
+	for i := 1; i < len(spans); i++ {
+		if spans[i].StartNS < spans[i-1].StartNS {
+			t.Fatalf("spans out of order at %d:\n%s", i, tree)
 		}
 	}
 
-	// The lifecycle kinds must appear in protocol order.
+	// The lifecycle must appear in protocol order. DLFM spans carry the
+	// server-name prefix from Tracer.Named, and the link names its file.
 	want := []string{
-		"txn_begin",           // host began the transaction
-		"rpc_send",            // at least one RPC crossed the wire
-		"link",                // the DLFM agent applied LinkFile
-		"prepare_vote_yes",    // phase 1 vote
-		"2pc_decision_commit", // host hardened the decision
-		"phase2_commit",       // DLFM completed phase 2
-		"2pc_done",            // host finished the protocol
+		"host/stmt",                 // host began the transaction
+		"host/rpc:LinkFile",         // an RPC crossed the wire
+		"fs1/agent/handle:LinkFile", // the DLFM agent applied LinkFile
+		"host/commit",               // the commit root
+		"fs1/agent/handle:Prepare",  // phase 1 vote
+		"host/phase2",               // decision hardened, phase 2 begun
+		"fs1/agent/handle:Commit",   // DLFM completed phase 2
 	}
 	pos := 0
-	for _, e := range events {
-		if pos < len(want) && e.Kind == want[pos] {
+	for _, sp := range spans {
+		if pos < len(want) && sp.Comp+"/"+sp.Op == want[pos] {
 			pos++
 		}
 	}
 	if pos != len(want) {
-		var got []string
-		for _, e := range events {
-			got = append(got, e.Comp+":"+e.Kind)
-		}
-		t.Fatalf("missing %q from the chain; events:\n%s", want[pos], strings.Join(got, "\n"))
+		t.Fatalf("missing %q from the chain:\n%s", want[pos], tree)
 	}
-
-	// DLFM events carry the server-name prefix from Tracer.Named.
-	sawPrefixed := false
-	for _, e := range events {
-		if strings.HasPrefix(e.Comp, "fs1/") {
-			sawPrefixed = true
-			break
-		}
+	if !strings.Contains(tree, "fs1/agent/handle:LinkFile file=/data/a1") {
+		t.Fatalf("link span does not name its file:\n%s", tree)
 	}
-	if !sawPrefixed {
-		t.Fatal("no fs1-prefixed DLFM events in the chain")
+	if marks := st.Tracer.ByTxn(txn); len(marks) != 0 {
+		t.Fatalf("a clean commit left marks (each restates a span): %+v", marks)
 	}
 
 	// The DLFM's registry must agree with its legacy Stats() snapshot —

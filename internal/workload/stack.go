@@ -39,8 +39,8 @@ type Stack struct {
 	// is set: a fenced DLFM kept current by log-shipping replication,
 	// already registered with the host for failover.
 	Standbys map[string]*repl.Standby
-	// Tracer is the shared trace ring: the host and every DLFM emit into
-	// it, so one chronological chain covers a transaction end to end.
+	// Tracer is the shared tracer: the host and every DLFM record into
+	// it, so one chronological timeline covers a transaction end to end.
 	Tracer *obs.Tracer
 	// Flight is the shared deadlock/timeout flight recorder: every lock
 	// manager in the deployment records its victims here, so one
@@ -245,10 +245,10 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if len(cfg.Servers) == 0 {
 		cfg.Servers = []string{"fs1"}
 	}
-	// One shared trace ring: host and DLFM events interleave in emission
-	// order, so a transaction's full 2PC chain reads top to bottom. The
-	// span store, slow log, and sampling rate come from the process-wide
-	// tracer configuration (dlfmbench flags set it).
+	// One shared tracer: host and DLFM spans interleave on one clock, so
+	// a transaction's full 2PC timeline reads top to bottom. Ring size,
+	// slow log, and sampling rate come from the process-wide tracer
+	// configuration (dlfmbench flags set it).
 	tracer := obs.NewTracerDefault()
 	obs.SetProcessTracer(tracer)
 	flight := obs.NewFlightRecorder(0)

@@ -350,13 +350,6 @@ func TestMetricsGoldenList(t *testing.T) {
 		"host_commit_seconds",
 		"wal_sync_seconds",
 		"lock_wait_seconds",
-		// This PR's latency-attribution histograms.
-		"host_attrib_lock_wait_seconds",
-		"host_attrib_wal_fsync_seconds",
-		"host_attrib_rpc_seconds",
-		"host_attrib_phase1_seconds",
-		"host_attrib_phase2_seconds",
-		"host_attrib_daemon_seconds",
 		// This PR's cluster placement/migration names (DESIGN.md §9).
 		"cluster_members",
 		"cluster_table_version",
@@ -400,6 +393,11 @@ func TestMetricsGoldenList(t *testing.T) {
 	}
 	if len(missing) > 0 {
 		t.Fatalf("golden metrics missing from /metrics: %v", missing)
+	}
+	// Attribution is folded on request (/debug/txn/<id>), never per commit:
+	// the always-on export must not come back.
+	if strings.Contains(exposition, "host_attrib_") {
+		t.Fatal("/metrics exposes host_attrib_* again")
 	}
 
 	// The fleet plane's own exposition (DESIGN.md §13): aggregate series
