@@ -19,11 +19,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Micro-benchmarks plus the headline experiment sweeps; each dlfmbench
-# run prints a machine-readable `BENCH {...}` JSON line CI collects into
-# bench.jsonl.
+# The headline experiment sweeps; each dlfmbench run prints a
+# machine-readable `BENCH {...}` JSON line CI collects into bench.jsonl.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) run ./cmd/dlfmbench throughput -clients 20 -ops 10
 	$(GO) run ./cmd/dlfmbench fanout -ops 20
 	$(GO) run ./cmd/dlfmbench traceoverhead -ops 20
@@ -68,7 +66,7 @@ scaleout-smoke:
 
 # Commit-protocol smoke under the race detector: the E13 sweep — 2PC vs
 # Paxos Commit with coordinator crashes injected at two rates, plus the
-# fast-path latency legs (read-only vote, presumed commit, 1PC). Exits
+# fast-path latency legs (read-only vote, 1PC). Exits
 # non-zero on any consistency violation, any wedged transaction under
 # Paxos, or if 2PC fails to wedge (the crash schedule never fired); the
 # BENCH line lands in commitproto.jsonl for CI to archive.

@@ -526,11 +526,6 @@ func (s *Server) craftStats() {
 	}
 }
 
-// CheckpointLocal checkpoints the local database: a maintenance-window
-// operation (the local database must be quiesced and file-backed) that
-// bounds log growth and restart time for long-lived DLFM deployments.
-func (s *Server) CheckpointLocal() error { return s.db.Checkpoint() }
-
 // CheckStatsGuard is the paper's Section 4 guard: if the catalog statistics
 // changed (for example a user ran RUNSTATS and overwrote the crafted
 // numbers), re-install the crafted statistics and re-bind every package.

@@ -11,17 +11,23 @@ import (
 	"repro/internal/wal"
 )
 
-// Exec parses and executes a statement that returns no rows, returning the
-// number of affected rows.
+// Exec parses text and runs it through ExecStmt.
 func (c *Conn) Exec(text string, params ...value.Value) (int64, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
 		return 0, err
 	}
+	return c.ExecStmt(stmt, params...)
+}
+
+// ExecStmt executes an already-parsed statement, returning the number of
+// affected rows (for SELECT, the number of rows). The plan is chosen at
+// execution; stmt is only read, so callers may share one tree.
+func (c *Conn) ExecStmt(stmt sql.Statement, params ...value.Value) (int64, error) {
 	return c.execParsed(stmt, nil, params)
 }
 
-// Query parses and executes a SELECT, returning the materialized rows.
+// Query parses text, which must be a SELECT, and runs it through QueryStmt.
 func (c *Conn) Query(text string, params ...value.Value) ([]value.Row, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -31,7 +37,13 @@ func (c *Conn) Query(text string, params ...value.Value) ([]value.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: Query requires a SELECT, got %T", stmt)
 	}
-	return c.execSelect(sel, nil, params)
+	return c.QueryStmt(sel, params...)
+}
+
+// QueryStmt executes an already-parsed SELECT, returning the materialized
+// rows. A hand-built sel sets Limit and LimitParam to -1 for "no limit".
+func (c *Conn) QueryStmt(sel sql.Select, params ...value.Value) ([]value.Row, error) {
+	return c.execSelectPlanned(sel, nil, params)
 }
 
 // QueryInt runs a single-column, single-row SELECT (typically COUNT/MIN/MAX
@@ -171,7 +183,7 @@ func evalExpr(e sql.Expr, schema *catalog.TableSchema, row value.Row, params []v
 	case sql.Literal:
 		return x.V, nil
 	case sql.Param:
-		if x.Idx >= len(params) {
+		if x.Idx < 0 || x.Idx >= len(params) {
 			return value.Null, fmt.Errorf("engine: statement needs parameter %d but only %d supplied", x.Idx+1, len(params))
 		}
 		return params[x.Idx], nil
@@ -270,10 +282,6 @@ func (c *Conn) collectCandidates(pl *plan, params []value.Value) ([]int64, error
 }
 
 // --- SELECT -----------------------------------------------------------------
-
-func (c *Conn) execSelect(s sql.Select, pl *plan, params []value.Value) ([]value.Row, error) {
-	return c.execSelectPlanned(s, pl, params)
-}
 
 func (c *Conn) execSelectPlanned(s sql.Select, pl *plan, params []value.Value) ([]value.Row, error) {
 	db := c.db

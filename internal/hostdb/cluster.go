@@ -201,17 +201,15 @@ func (db *DB) mover(m *cluster.Map) *cluster.Mover {
 // may have raced us there).
 func (db *DB) noteGroup(grp int64, server string) error {
 	c := db.eng.Connect()
-	n, _, err := c.QueryInt(`SELECT COUNT(*) FROM dl_grpsrv WHERE grp = ? AND server = ?`,
-		value.Int(grp), value.Str(server))
+	noted, err := groupNoted(c, grp, server)
 	if err != nil {
 		c.Rollback()
 		return err
 	}
-	if n > 0 {
+	if noted {
 		return c.Commit()
 	}
-	if _, err := c.Exec(`INSERT INTO dl_grpsrv (grp, server) VALUES (?, ?)`,
-		value.Int(grp), value.Str(server)); err != nil {
+	if _, err := c.ExecStmt(insGrpsrv, value.Int(grp), value.Str(server)); err != nil {
 		c.Rollback()
 		if errors.Is(err, engine.ErrDuplicate) {
 			return nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/fsim"
 	"repro/internal/sql"
 	"repro/internal/value"
@@ -104,15 +105,13 @@ func (db *DB) CreateTable(ddl string, dlCols ...DatalinkCol) error {
 		}
 	}
 
-	// Rewrite the DDL with a shadow recovery-id column per DATALINK column.
-	rewritten := strings.TrimRight(strings.TrimSpace(ddl), ")")
+	// A shadow recovery-id column per DATALINK column.
 	for _, dc := range dlCols {
-		rewritten += ", " + recidCol(strings.ToLower(dc.Name)) + " BIGINT"
+		ct.Cols = append(ct.Cols, sql.ColDef{Name: recidCol(strings.ToLower(dc.Name)), Type: value.KindInt})
 	}
-	rewritten += ")"
 
 	c := db.eng.Connect()
-	if _, err := c.Exec(rewritten); err != nil {
+	if _, err := c.ExecStmt(ct); err != nil {
 		return err
 	}
 	committed := false
@@ -145,8 +144,8 @@ func (db *DB) CreateTable(ddl string, dlCols ...DatalinkCol) error {
 
 // datalinkCols returns the registry entries for table, empty when the
 // table has no DATALINK columns.
-func (db *DB) datalinkCols(conn connLike, table string) ([]dlCol, error) {
-	rows, err := conn.Query(`SELECT col, grp, recovery, fullctl FROM dl_cols WHERE tbl = ?`, value.Str(table))
+func (db *DB) datalinkCols(conn *engine.Conn, table string) ([]dlCol, error) {
+	rows, err := conn.QueryStmt(selDatalinkCols, value.Str(table))
 	if err != nil {
 		return nil, err
 	}
@@ -162,11 +161,14 @@ func (db *DB) datalinkCols(conn connLike, table string) ([]dlCol, error) {
 	return out, nil
 }
 
-// connLike is the slice of engine.Conn the datalink engine needs; it lets
-// helpers run on any session's connection.
-type connLike interface {
-	Query(text string, params ...value.Value) ([]value.Row, error)
-	Exec(text string, params ...value.Value) (int64, error)
+// dlColNamed finds name among a table's DATALINK columns.
+func dlColNamed(cols []dlCol, name string) (dlCol, bool) {
+	for _, c := range cols {
+		if c.name == name {
+			return c, true
+		}
+	}
+	return dlCol{}, false
 }
 
 // MintToken signs a read token for a full-access-control file, as the
@@ -181,32 +183,4 @@ func (db *DB) MintToken(path string) string {
 		ttl = time.Hour
 	}
 	return fsim.MintToken(db.cfg.TokenSecret, path, time.Now().Add(ttl).Unix())
-}
-
-// renderPreds re-renders a parsed WHERE clause as SQL text with parameter
-// values inlined as literals, so the datalink engine can issue its own
-// row-identifying SELECT for the same predicate.
-func renderPreds(preds []sql.Pred, params []value.Value) (string, error) {
-	if len(preds) == 0 {
-		return "", nil
-	}
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		var rhs string
-		switch v := p.Val.(type) {
-		case sql.Literal:
-			rhs = v.V.SQLLiteral()
-		case sql.Param:
-			if v.Idx >= len(params) {
-				return "", fmt.Errorf("hostdb: missing parameter %d", v.Idx+1)
-			}
-			rhs = params[v.Idx].SQLLiteral()
-		case sql.Column:
-			rhs = v.Name
-		default:
-			return "", fmt.Errorf("hostdb: unsupported expression %T", p.Val)
-		}
-		parts[i] = p.Col + " " + p.Op.String() + " " + rhs
-	}
-	return " WHERE " + strings.Join(parts, " AND "), nil
 }

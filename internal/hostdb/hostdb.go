@@ -22,6 +22,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/sql"
+	"repro/internal/value"
 )
 
 // Dialer opens a fresh connection (= DLFM child agent) to a DLFM.
@@ -55,13 +57,6 @@ type Config struct {
 	// the commit decision to that participant (one network round trip and
 	// one forced log write instead of two of each).
 	OnePhase bool
-	// PresumedCommit switches the outcome table to the presumed-commit
-	// convention: a durable "collecting" row is forced before the
-	// prepares, the commit record is garbage-collected once every
-	// participant acknowledged, and an *absent* row means commit.
-	// The knob must be constant for the lifetime of the database —
-	// mixing conventions makes old absent rows unreadable.
-	PresumedCommit bool
 	// IndoubtCap bounds the in-memory list of transactions parked for
 	// later resolution (phase-2 transport failures, fast-path ambiguity).
 	// Beyond the cap the oldest entry is dropped — it is still covered by
@@ -143,7 +138,6 @@ type Stats struct {
 	OnePhaseCommits  obs.Counter // commits delegated to a single participant
 	PaxosCommits     obs.Counter // commits decided through the acceptor quorum
 	PaxosRecoveries  obs.Counter // outcomes the session had to learn back from acceptors
-	OutcomeGCs       obs.Counter // presumed-commit outcome rows garbage-collected
 	IndoubtDropped   obs.Counter // parked indoubt hints dropped at the cap
 	AdmissionShed    obs.Counter // new transactions refused with ErrOverload
 	AdmissionDelayed obs.Counter // new transactions that waited at admission
@@ -165,7 +159,6 @@ func (st *Stats) register(reg *obs.Registry) {
 	reg.RegisterCounter("host_one_phase_commits_total", &st.OnePhaseCommits)
 	reg.RegisterCounter("host_paxos_commits_total", &st.PaxosCommits)
 	reg.RegisterCounter("host_paxos_recoveries_total", &st.PaxosRecoveries)
-	reg.RegisterCounter("host_outcome_gc_total", &st.OutcomeGCs)
 	reg.RegisterCounter("host_indoubt_dropped_total", &st.IndoubtDropped)
 	reg.RegisterCounter("host_admission_shed_total", &st.AdmissionShed)
 	reg.RegisterCounter("host_admission_delayed_total", &st.AdmissionDelayed)
@@ -178,7 +171,7 @@ type Snapshot struct {
 	TokensMinted, Failovers         int64
 	ReadOnlyVotes, OnePhaseCommits  int64
 	PaxosCommits, PaxosRecoveries   int64
-	OutcomeGCs, IndoubtDropped      int64
+	IndoubtDropped                  int64
 	AdmissionShed, AdmissionDelayed int64
 }
 
@@ -308,7 +301,6 @@ func (db *DB) Stats() Snapshot {
 		OnePhaseCommits:  db.stats.OnePhaseCommits.Load(),
 		PaxosCommits:     db.stats.PaxosCommits.Load(),
 		PaxosRecoveries:  db.stats.PaxosRecoveries.Load(),
-		OutcomeGCs:       db.stats.OutcomeGCs.Load(),
 		IndoubtDropped:   db.stats.IndoubtDropped.Load(),
 		AdmissionShed:    db.stats.AdmissionShed.Load(),
 		AdmissionDelayed: db.stats.AdmissionDelayed.Load(),
@@ -449,6 +441,34 @@ func (db *DB) createPlacementSchema() error {
 	const big = 10_000_000
 	db.eng.SetStats("dl_placement", big, map[string]int64{"cluster": 100, "slot": 10_000})
 	return nil
+}
+
+// The datalink engine's own statements on the transaction path, parsed once.
+// Plans are still chosen at each execution, and the trees are shared
+// between sessions: nothing may modify them.
+var (
+	selDatalinkCols = mustParse(`SELECT col, grp, recovery, fullctl FROM dl_cols WHERE tbl = ?`).(sql.Select)
+	selGrpsrv       = mustParse(`SELECT COUNT(*) FROM dl_grpsrv WHERE grp = ? AND server = ?`).(sql.Select)
+	insGrpsrv       = mustParse(`INSERT INTO dl_grpsrv (grp, server) VALUES (?, ?)`)
+	insOutcome      = mustParse(`INSERT INTO dl_outcome (txnid, outcome) VALUES (?, 'C')`)
+)
+
+func mustParse(text string) sql.Statement {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		panic(err)
+	}
+	return stmt
+}
+
+// groupNoted reports whether dl_grpsrv records that server holds files of
+// group grp.
+func groupNoted(c *engine.Conn, grp int64, server string) (bool, error) {
+	rows, err := c.QueryStmt(selGrpsrv, value.Int(grp), value.Str(server))
+	if err != nil {
+		return false, err
+	}
+	return rows[0][0].Int64() > 0, nil
 }
 
 // DatalinkCol declares one DATALINK column when creating a table.

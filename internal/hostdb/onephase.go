@@ -34,7 +34,7 @@ func (s *Session) commitOnePhase(p *participant) error {
 	hardened := false
 	if s.conn.InTxn() {
 		if err := s.conn.PrepareTxn(); err != nil {
-			return s.abortCommit(txn, fmt.Errorf("%w: host prepare: %v", ErrTxnRolledBack, err))
+			return s.abortCommit(fmt.Errorf("%w: host prepare: %v", ErrTxnRolledBack, err))
 		}
 		hardened = true
 	}

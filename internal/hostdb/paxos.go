@@ -134,17 +134,11 @@ func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, 
 	// The outcome row rides inside the host branch: it becomes durable
 	// exactly when the branch commits, which happens only after the
 	// acceptors chose commit — so dl_outcome can never contradict them.
-	var err error
-	if db.cfg.PresumedCommit {
-		_, err = s.conn.Exec(`UPDATE dl_outcome SET outcome = 'C' WHERE txnid = ?`, value.Int(txn))
-	} else {
-		_, err = s.conn.Exec(`INSERT INTO dl_outcome (txnid, outcome) VALUES (?, 'C')`, value.Int(txn))
-	}
-	if err != nil {
-		return s.abortCommit(txn, fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
+	if _, err := s.conn.ExecStmt(insOutcome, value.Int(txn)); err != nil {
+		return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
 	}
 	if err := s.conn.PrepareTxn(); err != nil {
-		return s.abortCommit(txn, fmt.Errorf("%w: host prepare: %v", ErrTxnRolledBack, err))
+		return s.abortCommit(fmt.Errorf("%w: host prepare: %v", ErrTxnRolledBack, err))
 	}
 
 	if err := fpLeaderCrash.FireDetail("pre"); err != nil {
@@ -190,11 +184,7 @@ func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, 
 		return fmt.Errorf("%w: commit of txn %d interrupted before phase 2 (outcome chosen by acceptors): %v", ErrCommitUnacked, txn, err)
 	}
 
-	allAcked := s.phase2Fanout(root, writers, txn, true)
-	if allAcked {
-		if db.cfg.PresumedCommit {
-			db.gcOutcome(txn)
-		}
+	if s.phase2Fanout(root, writers, txn, true) {
 		// Every participant applied the commit; the acceptors' state is no
 		// longer needed. (Skipped when an ack is missing: that participant
 		// is still prepared and its learner must find the instances.)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -69,6 +68,10 @@ type Session struct {
 	// preparedGlobal marks an XA branch after PrepareGlobal: only
 	// CommitGlobal/AbortGlobal are valid until it resolves.
 	preparedGlobal bool
+	// batched makes every DLFM sub-transaction this session begins a
+	// batched one (the Load utility): the DLFM commits locally every
+	// Config.LoadBatchN operations.
+	batched bool
 	// stmtSpan is the span context of the statement currently executing,
 	// parenting the per-operation DLFM RPC spans.
 	stmtSpan obs.SpanCtx
@@ -135,7 +138,11 @@ func (s *Session) part(server string) (*participant, error) {
 		s.parts[server] = p
 	}
 	if !p.begun {
-		resp, err := p.client.Call(rpc.BeginTxnReq{Txn: s.txn})
+		req := rpc.BeginTxnReq{Txn: s.txn}
+		if s.batched {
+			req.Batched, req.BatchN = true, s.db.cfg.LoadBatchN
+		}
+		resp, err := p.client.Call(req)
 		if err != nil {
 			s.db.noteDLFMFailure(server, err)
 			s.dropPart(server)
@@ -208,8 +215,7 @@ func (s *Session) Exec(text string, params ...value.Value) (int64, error) {
 	case sql.Delete:
 		return s.execDelete(st, params)
 	default:
-		n, err := s.conn.Exec(text, params...)
-		return n, s.mapEngineErr(err)
+		return s.execHost(stmt, params, nil)
 	}
 }
 
@@ -364,12 +370,11 @@ func (s *Session) unlinkFile(url string, col dlCol) (stmtOp, error) {
 // ensureGroup creates the column's file group at the participant's server
 // on first use, transactionally on both sides.
 func (s *Session) ensureGroup(p *participant, col dlCol) error {
-	n, _, err := s.conn.QueryInt(`SELECT COUNT(*) FROM dl_grpsrv WHERE grp = ? AND server = ?`,
-		value.Int(col.grp), value.Str(p.server))
+	noted, err := groupNoted(s.conn, col.grp, p.server)
 	if err != nil {
 		return s.mapEngineErr(err)
 	}
-	if n > 0 {
+	if noted {
 		return nil
 	}
 	resp, err := p.client.Call(rpc.CreateGroupReq{
@@ -381,8 +386,7 @@ func (s *Session) ensureGroup(p *participant, col dlCol) error {
 	if err != nil || (!resp.OK() && resp.Code != "duplicate") {
 		return s.dlfmFailure(p.server, resp, err, nil)
 	}
-	if _, err := s.conn.Exec(`INSERT INTO dl_grpsrv (grp, server) VALUES (?, ?)`,
-		value.Int(col.grp), value.Str(p.server)); err != nil {
+	if _, err := s.conn.ExecStmt(insGrpsrv, value.Int(col.grp), value.Str(p.server)); err != nil {
 		// A concurrent session (or a move's noteGroup) may have recorded the
 		// placement between our COUNT and the INSERT; the note is all we
 		// needed, so the race loser carries on.
@@ -394,100 +398,84 @@ func (s *Session) ensureGroup(p *participant, col dlCol) error {
 	return nil
 }
 
+// The datalink engine rewrites the parsed statement, never its text: hidden
+// recovery-id columns are appended to a copy of the tree's slices (a parsed
+// or shared statement is never modified) and the tree goes to the engine's
+// ExecStmt with the caller's parameters untouched.
+
 // execInsert intercepts INSERT into a table with DATALINK columns: each
-// non-null DATALINK value is linked in the same transaction, and the hidden
-// recovery-id column is filled.
+// DATALINK value that names a file is linked in the same transaction, and
+// the hidden recovery-id column is filled.
 func (s *Session) execInsert(st sql.Insert, params []value.Value) (int64, error) {
 	cols, err := s.db.datalinkCols(s.conn, st.Table)
 	if err != nil {
 		return 0, s.mapEngineErr(err)
 	}
 	if len(cols) == 0 {
-		n, err := s.conn.Exec(renderInsert(st, nil, nil), params...)
-		return n, s.mapEngineErr(err)
+		return s.execHost(st, params, nil)
 	}
 	if st.Cols == nil {
 		return 0, fmt.Errorf("hostdb: INSERT into a DATALINK table must name its columns")
 	}
-	byName := make(map[string]dlCol, len(cols))
-	for _, c := range cols {
-		byName[c.name] = c
+	if len(st.Vals) != len(st.Cols) {
+		return 0, fmt.Errorf("hostdb: INSERT names %d columns for %d values", len(st.Cols), len(st.Vals))
 	}
+	// Clipping the capacities makes the first append below copy.
+	n := len(st.Cols)
+	st.Cols, st.Vals = st.Cols[:n:n], st.Vals[:n:n]
 	var done []stmtOp
-	var extraCols []string
-	var extraVals []value.Value
 	for i, colName := range st.Cols {
-		col, isDL := byName[colName]
+		col, isDL := dlColNamed(cols, colName)
 		if !isDL {
 			continue
 		}
 		v, err := evalConst(st.Vals[i], params)
 		if err != nil {
-			return 0, err
+			return 0, s.stmtFailed(done, err)
 		}
-		if v.IsNull() {
+		url, linked := linkTarget(v)
+		if !linked {
 			continue
 		}
-		rec, op, err := s.linkFile(v.Text(), col)
+		rec, op, err := s.linkFile(url, col)
 		if err != nil {
-			s.backoutStatement(done)
-			return 0, err
+			return 0, s.stmtFailed(done, err)
 		}
 		done = append(done, op)
-		extraCols = append(extraCols, recidCol(colName))
-		extraVals = append(extraVals, value.Int(rec))
+		st.Cols = append(st.Cols, recidCol(colName))
+		st.Vals = append(st.Vals, sql.Literal{V: value.Int(rec)})
 	}
-	n, err := s.conn.Exec(renderInsert(st, extraCols, extraVals), append(params, extraVals...)...)
+	return s.execHost(st, params, done)
+}
+
+// execHost runs the statement on the host engine, after its DLFM
+// operations in done. A plain failure backs those out and the transaction
+// continues; a deadlock or timeout rolls the whole transaction back.
+func (s *Session) execHost(st sql.Statement, params []value.Value, done []stmtOp) (int64, error) {
+	n, err := s.conn.ExecStmt(st, params...)
 	if err != nil {
-		if engine.IsRetryable(err) {
-			return 0, s.mapEngineErr(err)
-		}
-		s.backoutStatement(done)
-		return 0, err
+		return n, s.stmtFailed(done, s.mapEngineErr(err))
 	}
 	return n, nil
 }
 
-// renderInsert re-renders the INSERT with extra (hidden) columns appended;
-// extra values arrive as appended parameters.
-func renderInsert(st sql.Insert, extraCols []string, extraVals []value.Value) string {
-	var b strings.Builder
-	b.WriteString("INSERT INTO ")
-	b.WriteString(st.Table)
-	if st.Cols != nil {
-		b.WriteString(" (")
-		b.WriteString(strings.Join(st.Cols, ", "))
-		for _, c := range extraCols {
-			b.WriteString(", ")
-			b.WriteString(c)
-		}
-		b.WriteString(")")
+// stmtFailed backs out the failed statement's DLFM operations, unless err
+// already rolled the whole transaction back.
+func (s *Session) stmtFailed(done []stmtOp, err error) error {
+	if !errors.Is(err, ErrTxnRolledBack) {
+		s.backoutStatement(done)
 	}
-	b.WriteString(" VALUES (")
-	for i, e := range st.Vals {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(renderExpr(e))
-	}
-	for range extraVals {
-		b.WriteString(", ?")
-	}
-	b.WriteString(")")
-	return b.String()
+	return err
 }
 
-func renderExpr(e sql.Expr) string {
-	switch v := e.(type) {
-	case sql.Literal:
-		return v.V.SQLLiteral()
-	case sql.Param:
-		return "?"
-	case sql.Column:
-		return v.Name
-	default:
-		return "?"
+// linkTarget returns the URL a DATALINK value links. NULL and the empty
+// string link nothing; neither does a non-string, which the engine's type
+// check then rejects.
+func linkTarget(v value.Value) (url string, linked bool) {
+	if v.Kind() != value.KindString {
+		return "", false
 	}
+	return v.Text(), v.Text() != ""
 }
 
 // evalConst evaluates a literal-or-parameter expression.
@@ -505,6 +493,40 @@ func evalConst(e sql.Expr, params []value.Value) (value.Value, error) {
 	}
 }
 
+// lockLinked X-locks the rows an UPDATE or DELETE is about to change and
+// returns their current values of cols: a SELECT … FOR UPDATE over the
+// statement's own WHERE and parameters.
+func (s *Session) lockLinked(table string, cols []dlCol, where []sql.Pred, params []value.Value) ([]value.Row, error) {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.name
+	}
+	rows, err := s.conn.QueryStmt(sql.Select{
+		Table: table, Cols: names, Where: where, Limit: -1, LimitParam: -1, ForUpdate: true,
+	}, params...)
+	return rows, s.mapEngineErr(err)
+}
+
+// unlinkRows unlinks every file rows reference through cols. A statement-
+// level failure backs out the unlinks already made.
+func (s *Session) unlinkRows(rows []value.Row, cols []dlCol) ([]stmtOp, error) {
+	var done []stmtOp
+	for _, row := range rows {
+		for i, col := range cols {
+			url, linked := linkTarget(row[i])
+			if !linked {
+				continue
+			}
+			op, err := s.unlinkFile(url, col)
+			if err != nil {
+				return nil, s.stmtFailed(done, err)
+			}
+			done = append(done, op)
+		}
+	}
+	return done, nil
+}
+
 // execUpdate intercepts UPDATE statements that assign DATALINK columns:
 // for each affected row the old file is unlinked and the new one linked,
 // all in the same transaction ("an important customer requirement",
@@ -514,14 +536,10 @@ func (s *Session) execUpdate(st sql.Update, params []value.Value) (int64, error)
 	if err != nil {
 		return 0, s.mapEngineErr(err)
 	}
-	byName := make(map[string]dlCol, len(cols))
-	for _, c := range cols {
-		byName[c.name] = c
-	}
 	var touched []dlCol
 	var newVals []value.Value
 	for _, a := range st.Sets {
-		if col, isDL := byName[a.Col]; isDL {
+		if col, isDL := dlColNamed(cols, a.Col); isDL {
 			v, err := evalConst(a.Val, params)
 			if err != nil {
 				return 0, err
@@ -531,145 +549,34 @@ func (s *Session) execUpdate(st sql.Update, params []value.Value) (int64, error)
 		}
 	}
 	if len(touched) == 0 {
-		n, err := s.conn.Exec(renderUpdate(st, nil), params...)
-		return n, s.mapEngineErr(err)
+		return s.execHost(st, params, nil)
 	}
 
-	// Identify affected rows and their old DATALINK values, X-locking them.
-	where, err := renderPreds(st.Where, params)
+	rows, err := s.lockLinked(st.Table, touched, st.Where, params)
 	if err != nil {
 		return 0, err
 	}
-	sel := "SELECT " + joinCols(touched) + " FROM " + st.Table + where + " FOR UPDATE"
-	rows, err := s.conn.Query(sel)
+	done, err := s.unlinkRows(rows, touched)
 	if err != nil {
-		return 0, s.mapEngineErr(err)
-	}
-
-	var done []stmtOp
-	var recs []value.Value // one per touched column: the new link's recid
-	failed := func(err error) (int64, error) {
-		s.backoutStatement(done)
 		return 0, err
 	}
-	// Unlink old values (each row's), then link the new value once per
-	// column. Multiple matched rows sharing one new URL would violate the
-	// one-link-per-file rule and surface as a duplicate error.
-	for _, row := range rows {
-		for i := range touched {
-			old := row[i]
-			if old.IsNull() || old.Text() == "" {
-				continue
-			}
-			op, err := s.unlinkFile(old.Text(), touched[i])
+	// Link each new value once and set its hidden recid beside it. Several
+	// matched rows sharing one new URL would violate the one-link-per-file
+	// rule; the extra rows reuse the link.
+	st.Sets = st.Sets[:len(st.Sets):len(st.Sets)]
+	for i, col := range touched {
+		rec := value.Null
+		if url, linked := linkTarget(newVals[i]); linked && len(rows) > 0 {
+			id, op, err := s.linkFile(url, col)
 			if err != nil {
-				if errors.Is(err, ErrTxnRolledBack) {
-					return 0, err
-				}
-				return failed(err)
+				return 0, s.stmtFailed(done, err)
 			}
 			done = append(done, op)
+			rec = value.Int(id)
 		}
+		st.Sets = append(st.Sets, sql.Assign{Col: recidCol(col.name), Val: sql.Literal{V: rec}})
 	}
-	for i, col := range touched {
-		if newVals[i].IsNull() || newVals[i].Text() == "" {
-			recs = append(recs, value.Null)
-			continue
-		}
-		nlinks := len(rows)
-		for j := 0; j < nlinks; j++ {
-			rec, op, err := s.linkFile(newVals[i].Text(), col)
-			if err != nil {
-				if errors.Is(err, ErrTxnRolledBack) {
-					return 0, err
-				}
-				return failed(err)
-			}
-			done = append(done, op)
-			recs = append(recs, value.Int(rec))
-			break // one link; extra rows reuse it and fail naturally on commit semantics
-		}
-		if nlinks == 0 {
-			recs = append(recs, value.Null)
-		}
-	}
-
-	// Rewrite the UPDATE to also set the hidden recid columns. The recid
-	// values are inlined as literals: appending them as parameters would
-	// shift the WHERE clause's markers out of position.
-	assigns := make([]string, len(touched))
-	for i, col := range touched {
-		assigns[i] = recidCol(col.name) + " = " + recs[i].SQLLiteral()
-	}
-	n, err := s.conn.Exec(renderUpdateWithRecids(st, assigns), params...)
-	if err != nil {
-		if engine.IsRetryable(err) {
-			return 0, s.mapEngineErr(err)
-		}
-		return failed(err)
-	}
-	return n, nil
-}
-
-func joinCols(cols []dlCol) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = c.name
-	}
-	return strings.Join(parts, ", ")
-}
-
-func renderUpdate(st sql.Update, _ []string) string {
-	var b strings.Builder
-	b.WriteString("UPDATE ")
-	b.WriteString(st.Table)
-	b.WriteString(" SET ")
-	for i, a := range st.Sets {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.Col)
-		b.WriteString(" = ")
-		b.WriteString(renderExpr(a.Val))
-	}
-	b.WriteString(wherePlaceholder(st.Where))
-	return b.String()
-}
-
-// renderUpdateWithRecids renders the UPDATE with extra pre-rendered
-// "col = literal" assignments appended to the SET list.
-func renderUpdateWithRecids(st sql.Update, assigns []string) string {
-	var b strings.Builder
-	b.WriteString("UPDATE ")
-	b.WriteString(st.Table)
-	b.WriteString(" SET ")
-	for i, a := range st.Sets {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.Col)
-		b.WriteString(" = ")
-		b.WriteString(renderExpr(a.Val))
-	}
-	for _, a := range assigns {
-		b.WriteString(", ")
-		b.WriteString(a)
-	}
-	b.WriteString(wherePlaceholder(st.Where))
-	return b.String()
-}
-
-// wherePlaceholder re-renders the WHERE clause preserving ? markers (the
-// original parameters are re-passed in the same order).
-func wherePlaceholder(preds []sql.Pred) string {
-	if len(preds) == 0 {
-		return ""
-	}
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		parts[i] = p.Col + " " + p.Op.String() + " " + renderExpr(p.Val)
-	}
-	return " WHERE " + strings.Join(parts, " AND ")
+	return s.execHost(st, params, done)
 }
 
 // execDelete intercepts DELETE from a DATALINK table: each referenced file
@@ -680,43 +587,17 @@ func (s *Session) execDelete(st sql.Delete, params []value.Value) (int64, error)
 		return 0, s.mapEngineErr(err)
 	}
 	if len(cols) == 0 {
-		n, err := s.conn.Exec("DELETE FROM "+st.Table+wherePlaceholder(st.Where), params...)
-		return n, s.mapEngineErr(err)
+		return s.execHost(st, params, nil)
 	}
-	where, err := renderPreds(st.Where, params)
+	rows, err := s.lockLinked(st.Table, cols, st.Where, params)
 	if err != nil {
 		return 0, err
 	}
-	rows, err := s.conn.Query("SELECT " + joinCols(cols) + " FROM " + st.Table + where + " FOR UPDATE")
+	done, err := s.unlinkRows(rows, cols)
 	if err != nil {
-		return 0, s.mapEngineErr(err)
-	}
-	var done []stmtOp
-	for _, row := range rows {
-		for i, col := range cols {
-			if row[i].IsNull() || row[i].Text() == "" {
-				continue
-			}
-			op, err := s.unlinkFile(row[i].Text(), col)
-			if err != nil {
-				if errors.Is(err, ErrTxnRolledBack) {
-					return 0, err
-				}
-				s.backoutStatement(done)
-				return 0, err
-			}
-			done = append(done, op)
-		}
-	}
-	n, err := s.conn.Exec("DELETE FROM "+st.Table+wherePlaceholder(st.Where), params...)
-	if err != nil {
-		if engine.IsRetryable(err) {
-			return 0, s.mapEngineErr(err)
-		}
-		s.backoutStatement(done)
 		return 0, err
 	}
-	return n, nil
+	return s.execHost(st, params, done)
 }
 
 // Query runs a SELECT. DATALINK values in full-access-control columns come
@@ -736,7 +617,7 @@ func (s *Session) Query(text string, params ...value.Value) ([]value.Row, error)
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	rows, err := s.conn.Query(text, params...)
+	rows, err := s.conn.QueryStmt(sel, params...)
 	if err != nil {
 		return nil, s.mapEngineErr(err)
 	}
@@ -782,10 +663,10 @@ func (s *Session) Query(text string, params ...value.Value) ([]value.Row, error)
 		proj := make(value.Row, 0, len(keep))
 		for _, i := range keep {
 			v := row[i]
-			if fullctl[outNames[i]] && !v.IsNull() && v.Text() != "" {
-				if _, path, err := ParseURL(v.Text()); err == nil {
+			if url, linked := linkTarget(v); linked && fullctl[outNames[i]] {
+				if _, path, err := ParseURL(url); err == nil {
 					if tok := s.db.MintToken(path); tok != "" {
-						v = value.Str(v.Text() + "#" + tok)
+						v = value.Str(url + "#" + tok)
 					}
 				}
 			}
@@ -861,17 +742,6 @@ func (s *Session) Commit() error {
 		s.conn.SetSpanCtx(p1.Ctx())
 	}
 
-	// Presumed commit: force the "collecting" record (outcome 'I') in its
-	// own small transaction before any participant prepares. From here on
-	// an absent row can only mean the commit record was garbage-collected
-	// after every phase-2 ack — i.e. commit — while a surviving 'I' row
-	// means the transaction never committed.
-	if s.db.cfg.PresumedCommit {
-		if err := s.db.writeOutcome(txn, "I"); err != nil {
-			return s.abortCommit(txn, fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
-		}
-	}
-
 	// Phase 1: prepare every DLFM concurrently (bounded by CommitFanout).
 	// One "no" vote or transport error aborts everyone — including
 	// participants that already voted yes — and cancels prepares not yet
@@ -901,7 +771,7 @@ func (s *Session) Commit() error {
 		}
 	}
 	if prepErr != nil {
-		return s.abortCommit(txn, prepErr)
+		return s.abortCommit(prepErr)
 	}
 
 	// Read-only voters have already released everything; they are excluded
@@ -918,10 +788,7 @@ func (s *Session) Commit() error {
 		// Every participant voted read-only: no decision record, no
 		// phase 2 — the commit degenerates to a local commit.
 		if err := s.commitLocal(); err != nil {
-			return s.abortCommit(txn, fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
-		}
-		if s.db.cfg.PresumedCommit {
-			s.db.gcOutcome(txn)
+			return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
 		}
 		p1.End()
 		s.db.stats.Commits.Add(1)
@@ -935,19 +802,12 @@ func (s *Session) Commit() error {
 	}
 
 	// Decision: record the outcome inside the host transaction and commit
-	// it. Presumed abort: only committed transactions leave a row. Under
-	// presumed commit the pre-written 'I' row is promoted instead.
-	var decErr error
-	if s.db.cfg.PresumedCommit {
-		_, decErr = s.conn.Exec(`UPDATE dl_outcome SET outcome = 'C' WHERE txnid = ?`, value.Int(s.txn))
-	} else {
-		_, decErr = s.conn.Exec(`INSERT INTO dl_outcome (txnid, outcome) VALUES (?, 'C')`, value.Int(s.txn))
-	}
-	if decErr != nil {
-		return s.abortCommit(txn, fmt.Errorf("%w: %v", ErrTxnRolledBack, decErr))
+	// it. Presumed abort: only committed transactions leave a row.
+	if _, err := s.conn.ExecStmt(insOutcome, value.Int(txn)); err != nil {
+		return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
 	}
 	if err := s.commitLocal(); err != nil {
-		return s.abortCommit(txn, fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
+		return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
 	}
 	p1.End()
 	if err := fpBetweenPhases.Fire(); err != nil {
@@ -960,12 +820,7 @@ func (s *Session) Commit() error {
 
 	// Phase 2. The paper's hard-won rule: this must be synchronous, or the
 	// T1/T11/T2 distributed deadlock of Section 4 appears (experiment E6).
-	allAcked := s.phase2Fanout(root, writers, txn, true)
-	if s.db.cfg.PresumedCommit && allAcked {
-		// Every participant acknowledged: the commit record has served its
-		// purpose, and from now on its absence means commit — forget it.
-		s.db.gcOutcome(txn)
-	}
+	s.phase2Fanout(root, writers, txn, true)
 	s.db.stats.Commits.Add(1)
 	s.db.commitHist.ObserveEx(time.Since(start), txn)
 	s.finishTxn()
@@ -973,16 +828,11 @@ func (s *Session) Commit() error {
 }
 
 // abortCommit is the shared abort tail of the commit paths: abort every
-// begun participant, roll the local transaction back, and — under presumed
-// commit, once every participant acknowledged the abort — drop the
-// collecting row.
-func (s *Session) abortCommit(txn int64, err error) error {
-	allAcked := s.abortParts()
+// begun participant and roll the local transaction back.
+func (s *Session) abortCommit(err error) error {
+	s.abortParts()
 	if s.conn.InTxn() {
 		s.conn.Rollback()
-	}
-	if s.db.cfg.PresumedCommit && allAcked {
-		s.db.gcOutcome(txn)
 	}
 	s.finishTxn()
 	s.db.stats.Aborts.Add(1)
@@ -1124,10 +974,8 @@ func (s *Session) rollbackInternal() {
 	s.markDead()
 }
 
-// abortParts aborts every begun participant and reports whether all of
-// them acknowledged (the presumed-commit abort path may only drop its
-// collecting row once they have).
-func (s *Session) abortParts() bool {
+// abortParts aborts every begun participant.
+func (s *Session) abortParts() {
 	var begun []*participant
 	for _, p := range s.parts {
 		if p.begun {
@@ -1138,19 +986,14 @@ func (s *Session) abortParts() bool {
 	outs := s.db.fanoutParts(begun, false, false, func(p *participant) (rpc.Response, error) {
 		return p.client.Call(rpc.AbortReq{Txn: s.txn})
 	})
-	allAcked := true
 	for i := range outs {
 		if outs[i].err != nil {
 			// The abort is lost with the server; presumed abort covers
 			// it at resolution time.
 			s.db.noteDLFMFailure(outs[i].p.server, outs[i].err)
 			s.dropPart(outs[i].p.server)
-			allAcked = false
-		} else if !outs[i].resp.OK() {
-			allAcked = false
 		}
 	}
-	return allAcked
 }
 
 // finishTxn resets per-transaction state.

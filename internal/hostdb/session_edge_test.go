@@ -2,6 +2,7 @@ package hostdb
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -304,4 +305,143 @@ func TestAggregateQueriesPassThrough(t *testing.T) {
 		t.Fatalf("count = %v, %v", rows, err)
 	}
 	s.Commit()
+}
+
+// TestStatementCorpus drives the datalink engine's tree rewriting over one
+// table: after every statement the host rows, their hidden recovery ids
+// and the DLFM's link state must agree.
+func TestStatementCorpus(t *testing.T) {
+	st := newStack(t, []string{"fs1"})
+	st.mediaTable(false, false)
+	files := []string{"/a", "/b", "/c", "/d", "/o'brien"}
+	for _, f := range files {
+		st.createFile("fs1", f, "alice", "x")
+	}
+	u := func(path string) string { return URL("fs1", path) }
+	str, num := value.Str, value.Int
+
+	steps := []struct {
+		name   string
+		sql    string
+		params []value.Value
+		n      int64
+		fails  bool
+		want   map[int64]string // id → clip after the step; "" = NULL
+	}{
+		{"insert, literals and params mixed",
+			`INSERT INTO media (id, title, clip) VALUES (1, ?, ?)`, []value.Value{str("t1"), str(u("/a"))},
+			1, false, map[int64]string{1: u("/a")}},
+		{"insert, quoted literal URL",
+			`INSERT INTO media (id, title, clip) VALUES (?, 'o''brien', 'dlfs://fs1/o''brien')`, []value.Value{num(2)},
+			1, false, map[int64]string{1: u("/a"), 2: u("/o'brien")}},
+		{"insert, NULL datalink",
+			`INSERT INTO media (id, title, clip) VALUES (3, 't3', NULL)`, nil,
+			1, false, map[int64]string{1: u("/a"), 2: u("/o'brien"), 3: ""}},
+		{"insert, title equal to the URL",
+			`INSERT INTO media (id, title, clip) VALUES (4, ?, ?)`, []value.Value{str(u("/c")), str(u("/c"))},
+			1, false, map[int64]string{1: u("/a"), 2: u("/o'brien"), 3: "", 4: u("/c")}},
+		{"insert, integer in the datalink column",
+			`INSERT INTO media (id, title, clip) VALUES (7, 't', 5)`, nil,
+			0, true, map[int64]string{1: u("/a"), 2: u("/o'brien"), 3: "", 4: u("/c")}},
+		{"insert, fewer values than columns",
+			`INSERT INTO media (id, title, clip) VALUES (8)`, nil,
+			0, true, map[int64]string{1: u("/a"), 2: u("/o'brien"), 3: "", 4: u("/c")}},
+		{"update, params in SET and WHERE",
+			`UPDATE media SET title = ?, clip = ? WHERE id = ? AND title = ?`, []value.Value{str("t1b"), str(u("/b")), num(1), str("t1")},
+			1, false, map[int64]string{1: u("/b"), 2: u("/o'brien"), 3: "", 4: u("/c")}},
+		{"update, links a NULL row",
+			`UPDATE media SET clip = ? WHERE id = ?`, []value.Value{str(u("/a")), num(3)},
+			1, false, map[int64]string{1: u("/b"), 2: u("/o'brien"), 3: u("/a"), 4: u("/c")}},
+		{"update, zero rows",
+			`UPDATE media SET clip = ? WHERE id = ?`, []value.Value{str(u("/d")), num(99)},
+			0, false, map[int64]string{1: u("/b"), 2: u("/o'brien"), 3: u("/a"), 4: u("/c")}},
+		{"update, column-reference predicate",
+			`UPDATE media SET clip = NULL WHERE title = clip`, nil,
+			1, false, map[int64]string{1: u("/b"), 2: u("/o'brien"), 3: u("/a"), 4: ""}},
+		{"update, several rows",
+			`UPDATE media SET clip = NULL WHERE id >= ? AND id <= 2`, []value.Value{num(1)},
+			2, false, map[int64]string{1: "", 2: "", 3: u("/a"), 4: ""}},
+		{"update, relinks after the unlinks",
+			`UPDATE media SET clip = ? WHERE id = 4`, []value.Value{str(u("/c"))},
+			1, false, map[int64]string{1: "", 2: "", 3: u("/a"), 4: u("/c")}},
+		{"delete, zero rows",
+			`DELETE FROM media WHERE id = ?`, []value.Value{num(99)},
+			0, false, map[int64]string{1: "", 2: "", 3: u("/a"), 4: u("/c")}},
+		{"delete, column-reference predicate",
+			`DELETE FROM media WHERE clip = title`, nil,
+			1, false, map[int64]string{1: "", 2: "", 3: u("/a")}},
+		{"delete, several rows",
+			`DELETE FROM media WHERE id > ?`, []value.Value{num(0)},
+			3, false, map[int64]string{}},
+	}
+
+	s := st.db.Session()
+	defer s.Close()
+	check := st.db.Engine().Connect()
+	for _, step := range steps {
+		n, err := s.Exec(step.sql, step.params...)
+		if (err != nil) != step.fails || n != step.n {
+			t.Fatalf("%s: n=%d err=%v, want n=%d fails=%v", step.name, n, err, step.n, step.fails)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatalf("%s: commit: %v", step.name, err)
+		}
+		rows, err := check.Query(`SELECT id, clip, clip__recid FROM media`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := check.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int64]string, len(rows))
+		linked := make(map[string]bool)
+		for _, r := range rows {
+			url := ""
+			if !r[1].IsNull() {
+				url = r[1].Text()
+			}
+			isLinked := url != ""
+			if isLinked == r[2].IsNull() {
+				t.Errorf("%s: row %v: recid %v beside clip %v", step.name, r[0], r[2], r[1])
+			}
+			got[r[0].Int64()] = url
+			linked[url] = isLinked
+		}
+		if len(got) != len(step.want) {
+			t.Fatalf("%s: rows = %v, want %v", step.name, got, step.want)
+		}
+		for id, url := range step.want {
+			if g, ok := got[id]; !ok || g != url {
+				t.Fatalf("%s: rows = %v, want %v", step.name, got, step.want)
+			}
+		}
+		for _, f := range files {
+			if st.linkedOnDLFM("fs1", f) != linked[u(f)] {
+				t.Errorf("%s: %s linked on DLFM = %v, host says %v", step.name, f, !linked[u(f)], linked[u(f)])
+			}
+		}
+	}
+}
+
+// CreateTable appends the hidden columns to the parsed tree, so the shape
+// of the DDL text's tail does not matter.
+func TestCreateTableDDLTail(t *testing.T) {
+	st := newStack(t, []string{"fs1"})
+	for i, ddl := range []string{
+		`CREATE TABLE t0 (id BIGINT, doc VARCHAR(200))`,
+		"CREATE TABLE t1 (id BIGINT, doc VARCHAR(200))  \n",
+		"CREATE TABLE t2 (id BIGINT, doc VARCHAR(200)\n)\t",
+		`CREATE TABLE t3 (doc VARCHAR(200) NOT NULL, id BIGINT)`,
+	} {
+		if err := st.db.CreateTable(ddl, DatalinkCol{Name: "doc"}); err != nil {
+			t.Fatalf("CreateTable(%q): %v", ddl, err)
+		}
+		meta, err := st.db.Engine().Catalog().Table(fmt.Sprintf("t%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := meta.Schema.ColIndex("doc__recid"); !ok || len(meta.Schema.Cols) != 3 {
+			t.Fatalf("CreateTable(%q): columns %v", ddl, meta.Schema.Cols)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/rpc"
+	"repro/internal/sql"
 	"repro/internal/value"
 )
 
@@ -371,175 +372,44 @@ func (db *DB) DropTable(table string) error {
 	return s.Commit()
 }
 
-// LoadRow is one record for the Load utility.
-type LoadRow struct {
-	Values value.Row
-}
-
 // Load bulk-inserts rows into a DATALINK table using a single host
 // transaction whose DLFM sub-transactions run in batched mode: DLFM
 // locally commits every LoadBatchN operations to keep the log and lock
 // list bounded (Section 4). cols names the target columns (DATALINK
-// columns included), in the order of each row's values.
+// columns included), in the order of each row's values. Each row goes down
+// the same path as a one-row INSERT statement.
 func (db *DB) Load(table string, cols []string, rows []value.Row) (int64, error) {
 	s := db.Session()
-	defer s.Close()
+	defer s.Close() // rolls back whatever an early return leaves open
+	s.batched = true
 	if err := s.begin(); err != nil {
 		return 0, err
 	}
-
-	dlCols, err := db.datalinkCols(s.conn, table)
-	if err != nil {
-		return 0, err
+	ins := sql.Insert{
+		Table: strings.ToLower(table),
+		Cols:  make([]string, len(cols)),
+		Vals:  make([]sql.Expr, len(cols)),
 	}
-	byName := make(map[string]dlCol, len(dlCols))
-	for _, c := range dlCols {
-		byName[c.name] = c
-	}
-
-	// Mark every DLFM sub-transaction as batched up front.
-	batched := make(map[string]bool)
-	ensureBatched := func(server string) (*participant, error) {
-		p := s.parts[server]
-		if p == nil || !p.begun {
-			dial, err := db.dialer(server)
-			if err != nil {
-				return nil, err
-			}
-			if p == nil {
-				client, err := dial()
-				if err != nil {
-					return nil, err
-				}
-				p = &participant{server: server, client: client}
-				s.parts[server] = p
-			}
-			resp, err := p.client.Call(rpc.BeginTxnReq{Txn: s.txn, Batched: true, BatchN: db.cfg.LoadBatchN})
-			if err != nil {
-				return nil, err
-			}
-			if !resp.OK() {
-				return nil, fmt.Errorf("hostdb: load: begin at %s: %s", server, resp.Msg)
-			}
-			p.begun = true
-			batched[server] = true
-		}
-		return p, nil
-	}
-
-	marks := strings.Repeat(", ?", len(cols))[2:]
-	extraMarks := ""
-	var dlIdx []int
 	for i, c := range cols {
-		if _, isDL := byName[c]; isDL {
-			dlIdx = append(dlIdx, i)
-			extraMarks += ", ?"
-		}
+		ins.Cols[i], ins.Vals[i] = strings.ToLower(c), sql.Param{Idx: i}
 	}
-	insCols := strings.Join(cols, ", ")
-	for _, c := range cols {
-		if _, isDL := byName[c]; isDL {
-			insCols += ", " + recidCol(c)
-		}
-	}
-	ins := "INSERT INTO " + table + " (" + insCols + ") VALUES (" + marks + extraMarks + ")"
-
 	var loaded int64
 	for _, row := range rows {
 		if len(row) != len(cols) {
-			s.Rollback()
 			return loaded, fmt.Errorf("hostdb: load row has %d values for %d columns", len(row), len(cols))
 		}
-		params := append(value.Row(nil), row...)
-		for _, i := range dlIdx {
-			col := byName[cols[i]]
-			if row[i].IsNull() || row[i].Text() == "" {
-				params = append(params, value.Null)
-				continue
-			}
-			server, path, err := ParseURL(row[i].Text())
-			if err != nil {
-				s.Rollback()
-				return loaded, err
-			}
-			// Route clustered names per path; the release is held across
-			// the link call so a cutover cannot fence this row mid-RPC.
-			phys, release, err := db.route(server, path)
-			if err != nil {
-				s.Rollback()
-				return loaded, err
-			}
-			p, err := ensureBatched(phys)
-			if err != nil {
-				release()
-				s.Rollback()
-				return loaded, err
-			}
-			if err := s.ensureGroup(p, col); err != nil {
-				release()
-				s.Rollback()
-				return loaded, err
-			}
-			rec := db.NextRecID()
-			resp, callErr := p.client.Call(rpc.LinkFileReq{Txn: s.txn, Name: path, RecID: rec, Grp: col.grp})
-			release()
-			if callErr != nil || !resp.OK() {
-				s.Rollback()
-				if callErr != nil {
-					return loaded, callErr
-				}
-				return loaded, fmt.Errorf("hostdb: load: link %s: %s: %s", path, resp.Code, resp.Msg)
-			}
-			db.stats.Links.Add(1)
-			params = append(params, value.Int(rec))
-		}
-		if _, err := s.conn.Exec(ins, params...); err != nil {
-			s.Rollback()
+		if _, err := s.execInsert(ins, row); err != nil {
 			return loaded, err
 		}
 		loaded++
 	}
-	if err := s.Commit(); err != nil {
-		return loaded, err
-	}
-	return loaded, nil
-}
-
-// writeOutcome durably records an outcome row in its own small
-// transaction (the presumed-commit collecting record).
-func (db *DB) writeOutcome(txn int64, outcome string) error {
-	c := db.eng.Connect()
-	if _, err := c.Exec(`INSERT INTO dl_outcome (txnid, outcome) VALUES (?, ?)`,
-		value.Int(txn), value.Str(outcome)); err != nil {
-		if c.InTxn() {
-			c.Rollback()
-		}
-		return err
-	}
-	return c.Commit()
-}
-
-// gcOutcome forgets a transaction's outcome row once every participant
-// acknowledged the decision; best-effort (a survivor is re-read by the
-// resolution sweep, never misread).
-func (db *DB) gcOutcome(txn int64) {
-	c := db.eng.Connect()
-	if _, err := c.Exec(`DELETE FROM dl_outcome WHERE txnid = ?`, value.Int(txn)); err != nil {
-		if c.InTxn() {
-			c.Rollback()
-		}
-		return
-	}
-	if c.Commit() == nil {
-		db.stats.OutcomeGCs.Add(1)
-	}
+	return loaded, s.Commit()
 }
 
 // ResolveIndoubts polls every registered DLFM for prepared-but-unresolved
 // transactions and settles them from the host's knowledge: the paxos
 // acceptors when that protocol is active, otherwise the outcome table
-// (presumed abort by default; under Config.PresumedCommit an absent row
-// means commit and a surviving collecting row means abort). Parked
+// (presumed abort: only a committed transaction leaves a row). Parked
 // resolution hints are drained first. It returns how many transactions it
 // resolved. The paper's host runs this at restart and from a polling
 // daemon while a DLFM is unreachable (Section 3.3).
@@ -629,18 +499,13 @@ func (db *DB) resolveServerIndoubts(server string) (int, error) {
 			if err := c.Commit(); err != nil {
 				return resolved, err
 			}
-			switch {
-			case len(rows) > 0 && rows[0][0].Text() == "C":
+			if len(rows) > 0 && rows[0][0].Text() == "C" {
 				decision = "commit"
-			case len(rows) > 0:
-				// The presumed-commit collecting row 'I': the transaction
-				// was initiated but never committed.
-				decision = "abort"
-			default:
+			} else {
 				// An XA branch's outcome lives in the engine log, reached
 				// through the dl_xa mapping; "wait" means the global
 				// coordinator has not decided yet. With no record anywhere,
-				// the convention decides.
+				// abort is presumed.
 				xa, err := db.xaOutcome(txn)
 				if err != nil {
 					return resolved, err
@@ -648,16 +513,10 @@ func (db *DB) resolveServerIndoubts(server string) (int, error) {
 				switch xa {
 				case "commit":
 					decision = "commit"
-				case "abort":
-					decision = "abort"
 				case "wait":
 					continue
 				default:
-					if db.cfg.PresumedCommit {
-						decision = "commit"
-					} else {
-						decision = "abort" // presumed abort
-					}
+					decision = "abort"
 				}
 			}
 		}

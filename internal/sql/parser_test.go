@@ -216,37 +216,39 @@ func TestCompareOpEval(t *testing.T) {
 	}
 }
 
+// badStatements must all fail to parse; FuzzParse also starts from them.
+var badStatements = []string{
+	"",
+	"BOGUS",
+	"SELECT",
+	"SELECT * FROM",
+	"SELECT * FROM t WHERE",
+	"SELECT * FROM t WHERE a",
+	"SELECT * FROM t WHERE a !! 3",
+	"SELECT * FROM t LIMIT x",
+	"SELECT * FROM t extra junk",
+	"CREATE TABLE t",
+	"CREATE TABLE t (a)",
+	"CREATE TABLE t (a FLOAT)",
+	"CREATE VIEW v",
+	"CREATE INDEX i ON t",
+	"INSERT INTO t",
+	"INSERT t VALUES (1)",
+	"INSERT INTO t VALUES 1",
+	"UPDATE t",
+	"UPDATE t SET",
+	"UPDATE t SET a",
+	"DELETE t",
+	"DROP t",
+	"SELECT * FROM t WHERE a = 'unterminated",
+	"SELECT * FROM t WHERE a = -",
+	"SELECT * FROM t WHERE a = @",
+	"SELECT COUNT(x) FROM t",
+	"SELECT * FROM t FOR SHARE",
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"BOGUS",
-		"SELECT",
-		"SELECT * FROM",
-		"SELECT * FROM t WHERE",
-		"SELECT * FROM t WHERE a",
-		"SELECT * FROM t WHERE a !! 3",
-		"SELECT * FROM t LIMIT x",
-		"SELECT * FROM t extra junk",
-		"CREATE TABLE t",
-		"CREATE TABLE t (a)",
-		"CREATE TABLE t (a FLOAT)",
-		"CREATE VIEW v",
-		"CREATE INDEX i ON t",
-		"INSERT INTO t",
-		"INSERT t VALUES (1)",
-		"INSERT INTO t VALUES 1",
-		"UPDATE t",
-		"UPDATE t SET",
-		"UPDATE t SET a",
-		"DELETE t",
-		"DROP t",
-		"SELECT * FROM t WHERE a = 'unterminated",
-		"SELECT * FROM t WHERE a = -",
-		"SELECT * FROM t WHERE a = @",
-		"SELECT COUNT(x) FROM t",
-		"SELECT * FROM t FOR SHARE",
-	}
-	for _, src := range bad {
+	for _, src := range badStatements {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}

@@ -399,6 +399,10 @@ func TestMetricsGoldenList(t *testing.T) {
 	if strings.Contains(exposition, "host_attrib_") {
 		t.Fatal("/metrics exposes host_attrib_* again")
 	}
+	// Presumed commit was a knob nothing set; its counter went with it.
+	if strings.Contains(exposition, "host_outcome_gc_total") {
+		t.Fatal("/metrics exposes host_outcome_gc_total again")
+	}
 
 	// The fleet plane's own exposition (DESIGN.md §13): aggregate series
 	// plus member-labelled copies and the plane's fleet_*/health_* state.
