@@ -4,6 +4,10 @@ import (
 	"fmt"
 )
 
+// failoverThreshold is how many consecutive transport failures (or phase-2
+// give-ups) against a DLFM trigger failover to its registered standby.
+const failoverThreshold = 3
+
 // standbyEntry is one registered hot standby: where to reach it once
 // promoted, and how to promote it. done flips exactly once, when a
 // promotion has succeeded and the dialer swap is in place.
@@ -15,7 +19,7 @@ type standbyEntry struct {
 }
 
 // RegisterStandby registers a hot standby for a DLFM server. When the host
-// sees FailoverThreshold consecutive transport failures (or phase-2
+// sees failoverThreshold consecutive transport failures (or phase-2
 // give-ups) against the primary, it calls promote, swaps the server's
 // dialer to the standby, and re-resolves indoubt transactions against it.
 // Sessions keep using the same server name throughout.
@@ -35,7 +39,7 @@ func (db *DB) FailedOver(server string) bool {
 }
 
 // noteDLFMFailure records one failed interaction with a DLFM. Failures only
-// count when a standby is registered; FailoverThreshold consecutive ones
+// count when a standby is registered; failoverThreshold consecutive ones
 // trigger Failover. A failure can be a transport error (dial refused, call
 // error, call timeout) or a phase-2 "severe" give-up response — both mean
 // the primary cannot make progress.
@@ -49,8 +53,8 @@ func (db *DB) noteDLFMFailure(server string, cause error) {
 	db.failCount[server]++
 	n := db.failCount[server]
 	db.mu.Unlock()
-	db.tracer.Emitf(0, "host", "dlfm_failure", "%s: %d/%d: %v", server, n, db.cfg.FailoverThreshold, cause)
-	if n >= db.cfg.FailoverThreshold {
+	db.tracer.Emitf(0, "host", "dlfm_failure", "%s: %d/%d: %v", server, n, failoverThreshold, cause)
+	if n >= failoverThreshold {
 		db.Failover(server) //nolint:errcheck // a failed promote retries on the next threshold trip
 	}
 }

@@ -57,12 +57,6 @@ type Config struct {
 	// the commit decision to that participant (one network round trip and
 	// one forced log write instead of two of each).
 	OnePhase bool
-	// IndoubtCap bounds the in-memory list of transactions parked for
-	// later resolution (phase-2 transport failures, fast-path ambiguity).
-	// Beyond the cap the oldest entry is dropped — it is still covered by
-	// the durable outcome table, only the cheap retry hint is lost.
-	// Zero defaults to 1024.
-	IndoubtCap int
 	// TokenSecret signs access tokens for full-access-control files; it is
 	// shared with the DLFF on each file server. Empty disables tokens.
 	TokenSecret []byte
@@ -70,11 +64,6 @@ type Config struct {
 	TokenTTL time.Duration
 	// LoadBatchN is the DLFM batch-commit interval for the Load utility.
 	LoadBatchN int
-	// FailoverThreshold is how many consecutive transport failures (or
-	// phase-2 give-ups) against a DLFM trigger failover to its registered
-	// standby. Zero defaults to 3. Only meaningful once RegisterStandby
-	// has armed a standby for the server.
-	FailoverThreshold int
 	// AdmissionLockFrac sheds new transactions while the host engine's
 	// held-lock count is at or above this fraction of its LockListSize cap
 	// (e.g. 0.8 = shed at 80% full). Zero disables the lock signal; it is
@@ -188,8 +177,8 @@ type DB struct {
 	// and shared by every session; order is fixed at registration so
 	// learner ballots hit the same quorum shape everywhere.
 	acceptors []*acceptorEntry
-	// parked holds resolution hints for transactions whose phase 2 (or
-	// fast-path ambiguity) could not complete; bounded by Config.IndoubtCap.
+	// parked holds resolution hints for transactions the commit pipeline
+	// could not settle inline; bounded by indoubtCap.
 	parked []parkedTxn
 	// clusters maps a logical server name to its placement map; URLs
 	// naming a cluster route through it instead of the dialer registry.
@@ -244,9 +233,6 @@ func Open(cfg Config) (*DB, error) {
 		failCount:  make(map[string]int),
 		activeTxns: make(map[int64]struct{}),
 		backups:    make(map[int64]*backupImage),
-	}
-	if db.cfg.FailoverThreshold <= 0 {
-		db.cfg.FailoverThreshold = 3
 	}
 	db.stats.register(db.obs)
 	db.obs.RegisterHistogram("host_commit_seconds", db.commitHist)
@@ -451,6 +437,8 @@ var (
 	selGrpsrv       = mustParse(`SELECT COUNT(*) FROM dl_grpsrv WHERE grp = ? AND server = ?`).(sql.Select)
 	insGrpsrv       = mustParse(`INSERT INTO dl_grpsrv (grp, server) VALUES (?, ?)`)
 	insOutcome      = mustParse(`INSERT INTO dl_outcome (txnid, outcome) VALUES (?, 'C')`)
+	selOutcome      = mustParse(`SELECT outcome FROM dl_outcome WHERE txnid = ?`).(sql.Select)
+	insXA           = mustParse(`INSERT INTO dl_xa (host_txn, engine_txn) VALUES (?, ?)`)
 )
 
 func mustParse(text string) sql.Statement {

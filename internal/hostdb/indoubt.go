@@ -2,49 +2,46 @@ package hostdb
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/rpc"
+	"repro/internal/value"
 )
 
-// The parked-indoubt list: cheap in-memory hints for transactions whose
-// resolution could not complete inline — a phase-2 ack that never came, a
-// one-phase commit whose reply was lost, a paxos commit with no reachable
-// acceptor quorum. ResolveIndoubts drains it before the per-server sweep,
-// retrying each hint directly instead of paying a full ListIndoubt poll.
-// The list is bounded (Config.IndoubtCap): losing a hint loses nothing
-// durable — the outcome table, XA mapping, and acceptor state still settle
-// the transaction through the sweep — so overflow drops the oldest entry
-// and counts it on host_indoubt_dropped_total.
+// Indoubt resolution (Section 3.3): every unsettled transaction is settled
+// by asking its decision point's authority (DB.outcome) and delivering the
+// answer. Two sources feed it. The parked-indoubt list holds cheap
+// in-memory hints for transactions the commit pipeline could not settle
+// inline — a phase-2 answer that never came, a one-phase reply lost, an
+// outcome that could not be learned. The sweep polls every DLFM for its
+// prepared transactions. The list is bounded: losing a hint loses nothing
+// durable — the decision is still where its decision point stored it, and
+// the sweep finds it — so overflow drops the oldest entry and counts it on
+// host_indoubt_dropped_total.
+
+// indoubtCap bounds the parked-indoubt list.
+const indoubtCap = 1024
 
 // parkedTxn is one resolution hint.
 type parkedTxn struct {
 	txn    int64
-	server string // "" when no directed participant retry is needed
-	// decision: "commit"/"abort" (re-send the known outcome), "learn"
-	// (ask the paxos acceptors first), or "query" (ask the participant's
-	// own durable state — the one-phase ambiguity).
-	decision string
-}
-
-func (db *DB) indoubtCap() int {
-	if db.cfg.IndoubtCap > 0 {
-		return db.cfg.IndoubtCap
-	}
-	return 1024
+	server string // the participant to drive; "" when none needs a directed retry
+	dp     decisionPoint
 }
 
 // parkIndoubt appends a hint, dropping the oldest beyond the cap.
-func (db *DB) parkIndoubt(txn int64, server, decision string) {
+func (db *DB) parkIndoubt(h parkedTxn) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if n := len(db.parked); n >= db.indoubtCap() {
-		drop := n - db.indoubtCap() + 1
+	if n := len(db.parked); n >= indoubtCap {
+		drop := n - indoubtCap + 1
 		db.parked = append(db.parked[:0], db.parked[drop:]...)
 		db.stats.IndoubtDropped.Add(int64(drop))
 	}
-	db.parked = append(db.parked, parkedTxn{txn: txn, server: server, decision: decision})
+	db.parked = append(db.parked, h)
 }
 
 // takeParked removes and returns every parked hint.
@@ -63,64 +60,90 @@ func (db *DB) ParkedIndoubts() int {
 	return len(db.parked)
 }
 
+// outcome asks the authority of decision point dp for txn's outcome:
+// "commit", "abort", or "wait" while an XA branch's coordinator has not
+// decided.
+func (db *DB) outcome(dp decisionPoint, txn int64, server string) (string, error) {
+	switch dp {
+	case atAcceptors:
+		return db.LearnOutcome(txn)
+	case atParticipant:
+		return db.queryOutcome1PC(server, txn)
+	}
+	// The host's own log: a dl_outcome row is a 2PC commit; otherwise an
+	// XA branch's fate is in the engine log, found through dl_xa; with no
+	// record anywhere, abort is presumed.
+	c := db.eng.Connect()
+	rows, err := c.QueryStmt(selOutcome, value.Int(txn))
+	if err != nil {
+		c.Rollback()
+		return "", err
+	}
+	if err := c.Commit(); err != nil {
+		return "", err
+	}
+	if len(rows) > 0 {
+		return "commit", nil
+	}
+	branch, err := db.xaBranch(txn)
+	if err != nil || branch == 0 {
+		return "abort", err
+	}
+	fate, err := db.eng.TxnOutcome(branch)
+	switch {
+	case err != nil:
+		return "", err
+	case fate == "committed":
+		return "commit", nil
+	case fate == "prepared":
+		return "wait", nil // the global coordinator has not decided
+	}
+	return "abort", nil
+}
+
+// callFresh sends req to server over a fresh connection of its own.
+func (db *DB) callFresh(server string, req any) (rpc.Response, error) {
+	dial, err := db.dialer(server)
+	if err != nil {
+		return rpc.Response{}, err
+	}
+	client, err := dial()
+	if err != nil {
+		return rpc.Response{}, err
+	}
+	defer client.Close()
+	return client.Call(req)
+}
+
+// applied reports a phase-2 answer as an error unless the participant
+// applied the decision.
+func applied(resp rpc.Response, err error) error {
+	if err == nil && !resp.OK() {
+		err = fmt.Errorf("hostdb: phase 2: %s: %s", resp.Code, resp.Msg)
+	}
+	return err
+}
+
 // resolveParked retries every parked hint once, re-parking the ones that
-// still cannot complete. Returns how many it settled.
+// still cannot complete. Returns how many it settled. A hint without a
+// server is settled once its outcome is known again (the sweep or the
+// DLFMs' learners apply it); a one-phase participant applied its own
+// decision, so knowing it is all there is to do.
 func (db *DB) resolveParked() int {
-	entries := db.takeParked()
 	resolved := 0
-	for _, e := range entries {
-		dec := e.decision
-		switch dec {
-		case "learn":
-			out, err := db.LearnOutcome(e.txn)
-			if err != nil {
-				db.parkIndoubt(e.txn, e.server, "learn")
-				continue
-			}
-			dec = out
-		case "query":
-			out, err := db.queryOutcome1PC(e.server, e.txn)
-			if err != nil {
-				db.parkIndoubt(e.txn, e.server, "query")
-				continue
-			}
-			// The participant already decided and applied; learning which
-			// way settles the hint — there is nothing to send back.
-			_ = out
-			resolved++
-			db.stats.IndoubtsResolved.Add(1)
-			continue
+	for _, h := range db.takeParked() {
+		out, err := db.outcome(h.dp, h.txn, h.server)
+		if err == nil && out != "wait" && h.server != "" && h.dp != atParticipant {
+			err = applied(db.callFresh(h.server, phase2Req(h.txn, out)))
 		}
-		if e.server == "" {
-			// Outcome learnable again; the per-server sweep (or the DLFMs'
-			// own learner daemons) applies it to any prepared participant.
-			resolved++
-			continue
-		}
-		dial, err := db.dialer(e.server)
-		if err != nil {
-			resolved++ // server unregistered; nothing left to drive
-			continue
-		}
-		client, err := dial()
-		if err != nil {
-			db.parkIndoubt(e.txn, e.server, dec)
-			continue
-		}
-		var r rpc.Response
-		var callErr error
-		if dec == "commit" {
-			r, callErr = client.Call(rpc.CommitReq{Txn: e.txn})
-		} else {
-			r, callErr = client.Call(rpc.AbortReq{Txn: e.txn})
-		}
-		client.Close()
-		if callErr != nil || !r.OK() {
-			db.parkIndoubt(e.txn, e.server, dec)
+		if err != nil || out == "wait" {
+			db.parkIndoubt(h)
 			continue
 		}
 		resolved++
-		db.stats.IndoubtsResolved.Add(1)
+		if h.server != "" {
+			db.stats.IndoubtsResolved.Add(1)
+		}
 	}
 	return resolved
 }
@@ -133,38 +156,124 @@ func (db *DB) resolveParked() int {
 // request may still be executing: wait and ask again.
 func (db *DB) queryOutcome1PC(server string, txn int64) (string, error) {
 	bo := fault.Backoff{Base: 5 * time.Millisecond, Cap: 100 * time.Millisecond}
-	var lastErr error
+	var err error
 	for attempt := 0; attempt < 6; attempt++ {
 		if attempt > 0 {
 			time.Sleep(bo.Delay(attempt - 1))
 		}
-		dial, err := db.dialer(server)
-		if err != nil {
-			return "", err
-		}
-		client, err := dial()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, callErr := client.Call(rpc.QueryOutcomeReq{Txn: txn})
-		client.Close()
-		if callErr != nil {
-			lastErr = callErr
-			continue
-		}
-		if !resp.OK() {
-			lastErr = fmt.Errorf("hostdb: query outcome at %s: %s: %s", server, resp.Code, resp.Msg)
-			continue
-		}
-		switch resp.Msg {
-		case "committed":
+		var resp rpc.Response
+		resp, err = db.callFresh(server, rpc.QueryOutcomeReq{Txn: txn})
+		switch {
+		case err != nil:
+		case !resp.OK():
+			err = fmt.Errorf("hostdb: query outcome at %s: %s: %s", server, resp.Code, resp.Msg)
+		case resp.Msg == "committed":
 			return "commit", nil
-		case "none":
+		case resp.Msg == "none":
 			return "abort", nil
 		default: // "prepared"/"inflight": still in motion
-			lastErr = fmt.Errorf("hostdb: txn %d still %s at %s", txn, resp.Msg, server)
+			err = fmt.Errorf("hostdb: txn %d still %s at %s", txn, resp.Msg, server)
 		}
 	}
-	return "", lastErr
+	return "", err
+}
+
+// ResolveIndoubts settles what the host can: parked hints first, then
+// every registered DLFM's prepared-but-unresolved transactions, each by
+// its decision point's authority. It returns how many transactions it
+// resolved; an outcome that cannot be read now is left for a later pass,
+// so the error is always nil. The paper's host runs this at restart and
+// from a polling daemon while a DLFM is unreachable (Section 3.3).
+func (db *DB) ResolveIndoubts() (int, error) {
+	parked := db.resolveParked()
+	// One goroutine per DLFM, bounded by the commit fan-out limit: a
+	// server that is down (dial timing out) must not delay resolution on
+	// the healthy ones.
+	var (
+		wg    sync.WaitGroup
+		sem   = make(chan struct{}, db.fanLimit())
+		total atomic.Int64
+	)
+	for _, server := range db.Servers() {
+		wg.Add(1)
+		go func(server string) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			total.Add(int64(db.resolveServerIndoubts(server)))
+		}(server)
+	}
+	wg.Wait()
+	return parked + int(total.Load()), nil
+}
+
+// resolveServerIndoubts settles one DLFM's prepared-but-unresolved
+// transactions and reports how many it resolved.
+func (db *DB) resolveServerIndoubts(server string) int {
+	dial, err := db.dialer(server)
+	if err != nil {
+		return 0
+	}
+	client, err := dial()
+	if err != nil {
+		db.noteDLFMFailure(server, err)
+		return 0 // DLFM down; the daemon retries later
+	}
+	defer client.Close()
+	resp, err := client.Call(rpc.ListIndoubtReq{})
+	if err != nil {
+		db.noteDLFMFailure(server, err)
+		return 0
+	}
+	if !resp.OK() {
+		return 0
+	}
+	db.noteDLFMSuccess(server)
+	// Under Paxos the acceptors are the authority even for transactions
+	// whose coordinator never hardened dl_outcome.
+	dp := db.decisionPointFor(0)
+	resolved := 0
+	for _, txn := range resp.Txns {
+		// A prepared transaction whose coordinator session is still alive
+		// is not in doubt: the session will harden and drive its own
+		// decision. Presuming abort here would race a live commit
+		// (failover runs this mid-traffic against healthy DLFMs too).
+		if db.txnActive(txn) {
+			continue
+		}
+		out, err := db.outcome(dp, txn, "")
+		if err != nil || out == "wait" {
+			continue
+		}
+		if applied(client.Call(phase2Req(txn, out))) == nil {
+			resolved++
+			db.stats.IndoubtsResolved.Add(1)
+		}
+	}
+	return resolved
+}
+
+// StartIndoubtDaemon polls ResolveIndoubts on an interval until the
+// returned stop function is called — the paper's dedicated indoubt-
+// resolution daemon.
+func (db *DB) StartIndoubtDaemon(interval time.Duration) (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-ticker.C:
+				db.ResolveIndoubts() //nolint:errcheck
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }

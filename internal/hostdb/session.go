@@ -3,22 +3,13 @@ package hostdb
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/sql"
 	"repro/internal/value"
 )
-
-// fpBetweenPhases interrupts Commit after the decision is durably recorded
-// but before any phase-2 request is sent — the coordinator-crash window.
-// Participants stay prepared (indoubt) until ResolveIndoubts re-drives the
-// recorded decision.
-var fpBetweenPhases = fault.P("hostdb.commit.between_phases")
 
 // Errors surfaced by sessions.
 var (
@@ -65,9 +56,9 @@ type Session struct {
 	// agent is long-lived); begun is reset per transaction.
 	parts map[string]*participant
 	dead  bool
-	// preparedGlobal marks an XA branch after PrepareGlobal: only
+	// global is an XA branch's run after PrepareGlobal: only
 	// CommitGlobal/AbortGlobal are valid until it resolves.
-	preparedGlobal bool
+	global *commitRun
 	// batched makes every DLFM sub-transaction this session begins a
 	// batched one (the Load utility): the DLFM commits locally every
 	// Config.LoadBatchN operations.
@@ -184,7 +175,7 @@ func (s *Session) Exec(text string, params ...value.Value) (int64, error) {
 	if s.dead {
 		return 0, fmt.Errorf("%w: acknowledge with Rollback", ErrTxnRolledBack)
 	}
-	if s.preparedGlobal {
+	if s.global != nil {
 		return 0, fmt.Errorf("hostdb: transaction %d is globally prepared; only CommitGlobal/AbortGlobal are valid", s.txn)
 	}
 	stmt, err := sql.Parse(text)
@@ -677,252 +668,6 @@ func (s *Session) Query(text string, params ...value.Value) ([]value.Row, error)
 	return out, nil
 }
 
-// Commit drives the two-phase commit across every enlisted DLFM
-// (Section 3.3): prepare all, record and harden the decision locally, then
-// commit all — synchronously unless the configuration opts into the
-// asynchronous variant that the paper shows to be deadlock-prone.
-func (s *Session) Commit() error {
-	if s.txn == 0 {
-		return engine.ErrNoTxn
-	}
-	if s.dead {
-		return ErrTxnRolledBack
-	}
-	if s.preparedGlobal {
-		return fmt.Errorf("hostdb: transaction %d is globally prepared; use CommitGlobal/AbortGlobal", s.txn)
-	}
-	var enlisted []*participant
-	for _, p := range s.parts {
-		if p.begun {
-			enlisted = append(enlisted, p)
-		}
-	}
-	// Deterministic participant order (map iteration is random). With the
-	// parallel fan-out this no longer fixes the order prepares hit the
-	// wire — and it does not need to: each DLFM acquired its locks at
-	// statement (link/unlink) time, long before prepare, so send order
-	// never decides lock order and parallelizing it cannot create new
-	// deadlocks (cross-DLFM cycles are the lock timeout's job, Section 4).
-	// The sort fixes which failure is *reported* when several prepares
-	// fail at once, keeping errors and accounting deterministic.
-	sort.Slice(enlisted, func(i, j int) bool { return enlisted[i].server < enlisted[j].server })
-	if len(enlisted) == 0 {
-		root := s.db.tracer.StartRoot(s.txn, "host", "commit")
-		if root != nil {
-			s.conn.SetSpanCtx(root.Ctx())
-		}
-		err := s.commitLocal()
-		root.End()
-		s.finishTxn()
-		return err
-	}
-
-	// Fast path: exactly one participant — delegate the decision to it and
-	// skip the prepare round entirely.
-	if len(enlisted) == 1 && s.db.cfg.OnePhase {
-		return s.commitOnePhase(enlisted[0])
-	}
-
-	start := time.Now()
-	txn := s.txn
-
-	// The root span covers the whole commit. Phase 1 runs from the first
-	// prepare through the durable decision write — Gray & Lamport's cost
-	// model ends phase 1 at the coordinator's stable write, so the local
-	// outcome insert and engine commit (with its fsync) belong to it.
-	// End is idempotent, so the deferred pair only matters on the error
-	// paths.
-	root := s.db.tracer.StartRoot(txn, "host", "commit")
-	p1 := s.db.tracer.StartSpan(root.Ctx(), "host", "phase1")
-	defer func() {
-		p1.End()
-		root.End()
-	}()
-	if p1 != nil {
-		s.conn.SetSpanCtx(p1.Ctx())
-	}
-
-	// Phase 1: prepare every DLFM concurrently (bounded by CommitFanout).
-	// One "no" vote or transport error aborts everyone — including
-	// participants that already voted yes — and cancels prepares not yet
-	// issued. Accounting runs after the join, on this goroutine, over the
-	// ordered outcome slice, so it is exactly as precise as the sequential
-	// loop was.
-	outs := s.db.fanoutParts(enlisted, true, true, func(p *participant) (rpc.Response, error) {
-		sp := s.db.tracer.StartSpan(p1.Ctx(), "host", "rpc:Prepare").Attr("server", p.server)
-		resp, err := p.client.CallCtx(sp.Ctx(), rpc.PrepareReq{Txn: txn})
-		sp.End()
-		return resp, err
-	})
-	var prepErr error
-	for i := range outs {
-		o := &outs[i]
-		if o.skipped {
-			continue
-		}
-		if o.err != nil {
-			s.db.noteDLFMFailure(o.p.server, o.err)
-			s.dropPart(o.p.server)
-			if prepErr == nil {
-				prepErr = fmt.Errorf("%w: prepare of txn %d failed: %v", ErrTxnRolledBack, s.txn, o.err)
-			}
-		} else if !o.resp.OK() && prepErr == nil {
-			prepErr = fmt.Errorf("%w: prepare of txn %d failed: %s: %s", ErrTxnRolledBack, s.txn, o.resp.Code, o.resp.Msg)
-		}
-	}
-	if prepErr != nil {
-		return s.abortCommit(prepErr)
-	}
-
-	// Read-only voters have already released everything; they are excluded
-	// from phase 2 (and from the paxos instance list below).
-	writers := make([]*participant, 0, len(enlisted))
-	for i := range outs {
-		if outs[i].resp.ReadOnly {
-			s.db.stats.ReadOnlyVotes.Add(1)
-			continue
-		}
-		writers = append(writers, outs[i].p)
-	}
-	if len(writers) == 0 {
-		// Every participant voted read-only: no decision record, no
-		// phase 2 — the commit degenerates to a local commit.
-		if err := s.commitLocal(); err != nil {
-			return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
-		}
-		p1.End()
-		s.db.stats.Commits.Add(1)
-		s.db.commitHist.ObserveEx(time.Since(start), txn)
-		s.finishTxn()
-		return nil
-	}
-
-	if s.db.protocol() == "paxos" {
-		return s.commitPaxos(root, p1, writers, txn, start)
-	}
-
-	// Decision: record the outcome inside the host transaction and commit
-	// it. Presumed abort: only committed transactions leave a row.
-	if _, err := s.conn.ExecStmt(insOutcome, value.Int(txn)); err != nil {
-		return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
-	}
-	if err := s.commitLocal(); err != nil {
-		return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
-	}
-	p1.End()
-	if err := fpBetweenPhases.Fire(); err != nil {
-		// The decision is already durable; the transaction IS committed even
-		// though no participant has heard. Deliberately not ErrTxnRolledBack.
-		s.abandonParts()
-		s.finishTxn()
-		return fmt.Errorf("%w: commit of txn %d interrupted before phase 2 (outcome recorded): %v", ErrCommitUnacked, txn, err)
-	}
-
-	// Phase 2. The paper's hard-won rule: this must be synchronous, or the
-	// T1/T11/T2 distributed deadlock of Section 4 appears (experiment E6).
-	s.phase2Fanout(root, writers, txn, true)
-	s.db.stats.Commits.Add(1)
-	s.db.commitHist.ObserveEx(time.Since(start), txn)
-	s.finishTxn()
-	return nil
-}
-
-// abortCommit is the shared abort tail of the commit paths: abort every
-// begun participant and roll the local transaction back.
-func (s *Session) abortCommit(err error) error {
-	s.abortParts()
-	if s.conn.InTxn() {
-		s.conn.Rollback()
-	}
-	s.finishTxn()
-	s.db.stats.Aborts.Add(1)
-	return err
-}
-
-// phase2Fanout drives the durable decision to every participant and
-// reports whether all of them acknowledged synchronously (always false in
-// the asynchronous variant, whose acks land off-session). Failed or
-// severe participants are parked for directed retry by the resolution
-// daemon.
-func (s *Session) phase2Fanout(root *obs.SpanHandle, parts []*participant, txn int64, commit bool) bool {
-	decision, rpcName := "abort", "rpc:Abort"
-	if commit {
-		decision, rpcName = "commit", "rpc:Commit"
-	}
-	call := func(ctx obs.SpanCtx, p *participant) (rpc.Response, error) {
-		if commit {
-			return p.client.CallCtx(ctx, rpc.CommitReq{Txn: txn})
-		}
-		return p.client.CallCtx(ctx, rpc.AbortReq{Txn: txn})
-	}
-	if s.db.cfg.SyncCommit {
-		// Transport errors leave the transaction indoubt; the resolution
-		// daemon settles it later. Both transport errors and phase-2
-		// give-ups ("severe" after the DLFM exhausts its retries) count
-		// toward standby failover. The fan-out never stops early: the
-		// decision is durable and every participant must hear it.
-		p2span := s.db.tracer.StartSpan(root.Ctx(), "host", "phase2")
-		p2 := s.db.fanoutParts(parts, false, false, func(p *participant) (rpc.Response, error) {
-			sp := s.db.tracer.StartSpan(p2span.Ctx(), "host", rpcName).Attr("server", p.server)
-			resp, err := call(sp.Ctx(), p)
-			sp.End()
-			return resp, err
-		})
-		p2span.End()
-		allAcked := true
-		for i := range p2 {
-			o := &p2[i]
-			switch {
-			case o.err != nil:
-				s.db.noteDLFMFailure(o.p.server, o.err)
-				s.dropPart(o.p.server)
-				s.db.parkIndoubt(txn, o.p.server, decision)
-				allAcked = false
-			case o.resp.Code == "severe":
-				s.db.noteDLFMFailure(o.p.server, fmt.Errorf("phase-2 give-up: %s", o.resp.Msg))
-				s.db.parkIndoubt(txn, o.p.server, decision)
-				allAcked = false
-			default:
-				s.db.noteDLFMSuccess(o.p.server)
-			}
-		}
-		return allAcked
-	}
-	// Asynchronous variant: the commit request is on the wire before
-	// Commit returns, and the child agent stays busy until it answers
-	// — so the agent's next caller "blocks on message send". The
-	// result is drained off-session so transport errors and severe
-	// give-ups still feed failover accounting; the session itself is
-	// gone by then, so no dropPart (Session state is not
-	// goroutine-safe) — the next dial replaces the participant anyway.
-	p2span := s.db.tracer.StartSpan(root.Ctx(), "host", "phase2")
-	for _, p := range parts {
-		sp := s.db.tracer.StartSpan(p2span.Ctx(), "host", rpcName).Attr("server", p.server)
-		var res <-chan rpc.CallResult
-		if commit {
-			res = p.client.GoCtx(sp.Ctx(), rpc.CommitReq{Txn: txn})
-		} else {
-			res = p.client.GoCtx(sp.Ctx(), rpc.AbortReq{Txn: txn})
-		}
-		go func(server string, sp *obs.SpanHandle, res <-chan rpc.CallResult) {
-			r := <-res
-			sp.End()
-			switch {
-			case r.Err != nil:
-				s.db.noteDLFMFailure(server, r.Err)
-			case r.Resp.Code == "severe":
-				s.db.noteDLFMFailure(server, fmt.Errorf("phase-2 give-up: %s", r.Resp.Msg))
-			default:
-				s.db.noteDLFMSuccess(server)
-			}
-		}(p.server, sp, res)
-	}
-	// In async mode the span covers only the send window; the per-call
-	// spans end when each DLFM answers.
-	p2span.End()
-	return false
-}
-
 // Enlist joins server to the current transaction without performing any
 // file operation there. The participant will cast a read-only vote at
 // prepare (if the DLFM has the fast path enabled) unless later statements
@@ -953,7 +698,7 @@ func (s *Session) Rollback() error {
 	if s.txn == 0 {
 		return engine.ErrNoTxn
 	}
-	if s.preparedGlobal {
+	if s.global != nil {
 		return fmt.Errorf("hostdb: transaction %d is globally prepared; use CommitGlobal/AbortGlobal", s.txn)
 	}
 	if !s.dead {
@@ -968,22 +713,13 @@ func (s *Session) Rollback() error {
 func (s *Session) rollbackInternal() {
 	s.db.tracer.Emit(s.txn, "host", "rollback", "")
 	s.abortParts()
-	if s.conn.InTxn() {
-		s.conn.Rollback()
-	}
+	s.rollbackBranch()
 	s.markDead()
 }
 
 // abortParts aborts every begun participant.
 func (s *Session) abortParts() {
-	var begun []*participant
-	for _, p := range s.parts {
-		if p.begun {
-			begun = append(begun, p)
-		}
-	}
-	sort.Slice(begun, func(i, j int) bool { return begun[i].server < begun[j].server })
-	outs := s.db.fanoutParts(begun, false, false, func(p *participant) (rpc.Response, error) {
+	outs := s.db.fanoutParts(s.begunParts(), false, func(p *participant) (rpc.Response, error) {
 		return p.client.Call(rpc.AbortReq{Txn: s.txn})
 	})
 	for i := range outs {
@@ -1003,7 +739,7 @@ func (s *Session) finishTxn() {
 	}
 	s.txn = 0
 	s.dead = false
-	s.preparedGlobal = false
+	s.global = nil
 	s.stmtSpan = obs.SpanCtx{}
 	s.conn.SetSpanCtx(obs.SpanCtx{})
 	for _, p := range s.parts {

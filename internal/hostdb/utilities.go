@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -404,157 +402,4 @@ func (db *DB) Load(table string, cols []string, rows []value.Row) (int64, error)
 		loaded++
 	}
 	return loaded, s.Commit()
-}
-
-// ResolveIndoubts polls every registered DLFM for prepared-but-unresolved
-// transactions and settles them from the host's knowledge: the paxos
-// acceptors when that protocol is active, otherwise the outcome table
-// (presumed abort: only a committed transaction leaves a row). Parked
-// resolution hints are drained first. It returns how many transactions it
-// resolved. The paper's host runs this at restart and from a polling
-// daemon while a DLFM is unreachable (Section 3.3).
-func (db *DB) ResolveIndoubts() (int, error) {
-	parked := db.resolveParked()
-	servers := db.Servers()
-	sort.Strings(servers)
-	// One goroutine per DLFM, bounded by the commit fan-out limit: a
-	// server that is down (dial timing out) must not delay resolution on
-	// the healthy ones. Each goroutine uses its own engine connection for
-	// the outcome lookups — engine.Conn is single-caller.
-	var (
-		wg    sync.WaitGroup
-		sem   = make(chan struct{}, db.fanLimit())
-		total atomic.Int64
-		errs  = make([]error, len(servers))
-	)
-	for i, server := range servers {
-		wg.Add(1)
-		go func(i int, server string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			n, err := db.resolveServerIndoubts(server)
-			total.Add(int64(n))
-			errs[i] = err
-		}(i, server)
-	}
-	wg.Wait()
-	resolved := parked + int(total.Load())
-	for _, err := range errs {
-		if err != nil {
-			return resolved, err
-		}
-	}
-	return resolved, nil
-}
-
-// resolveServerIndoubts settles one DLFM's prepared-but-unresolved
-// transactions and reports how many it resolved.
-func (db *DB) resolveServerIndoubts(server string) (int, error) {
-	resolved := 0
-	dial, err := db.dialer(server)
-	if err != nil {
-		return 0, nil
-	}
-	client, err := dial()
-	if err != nil {
-		db.noteDLFMFailure(server, err)
-		return 0, nil // DLFM down; the daemon retries later
-	}
-	defer client.Close()
-	resp, callErr := client.Call(rpc.ListIndoubtReq{})
-	if callErr != nil || !resp.OK() {
-		if callErr != nil {
-			db.noteDLFMFailure(server, callErr)
-		}
-		return 0, nil
-	}
-	db.noteDLFMSuccess(server)
-	c := db.eng.Connect()
-	for _, txn := range resp.Txns {
-		// A prepared transaction whose coordinator session is still
-		// alive is not in doubt: the session will harden and drive its
-		// own decision. Presuming abort here would race a live commit
-		// (failover runs this mid-traffic against healthy DLFMs too).
-		if db.txnActive(txn) {
-			continue
-		}
-		decision := ""
-		if db.protocol() == "paxos" {
-			// The acceptors are the decision's authority: a coordinator may
-			// have reached its quorum without ever hardening dl_outcome, so
-			// the local table alone could presume the wrong way. An
-			// unreachable quorum leaves the transaction for a later pass.
-			if out, err := db.LearnOutcome(txn); err == nil {
-				decision = out
-			} else {
-				continue
-			}
-		}
-		if decision == "" {
-			rows, err := c.Query(`SELECT outcome FROM dl_outcome WHERE txnid = ?`, value.Int(txn))
-			if err != nil {
-				return resolved, err
-			}
-			if err := c.Commit(); err != nil {
-				return resolved, err
-			}
-			if len(rows) > 0 && rows[0][0].Text() == "C" {
-				decision = "commit"
-			} else {
-				// An XA branch's outcome lives in the engine log, reached
-				// through the dl_xa mapping; "wait" means the global
-				// coordinator has not decided yet. With no record anywhere,
-				// abort is presumed.
-				xa, err := db.xaOutcome(txn)
-				if err != nil {
-					return resolved, err
-				}
-				switch xa {
-				case "commit":
-					decision = "commit"
-				case "wait":
-					continue
-				default:
-					decision = "abort"
-				}
-			}
-		}
-		var r rpc.Response
-		if decision == "commit" {
-			r, callErr = client.Call(rpc.CommitReq{Txn: txn})
-		} else {
-			r, callErr = client.Call(rpc.AbortReq{Txn: txn})
-		}
-		if callErr == nil && r.OK() {
-			resolved++
-			db.stats.IndoubtsResolved.Add(1)
-		}
-	}
-	return resolved, nil
-}
-
-// StartIndoubtDaemon polls ResolveIndoubts on an interval until the
-// returned stop function is called — the paper's dedicated indoubt-
-// resolution daemon.
-func (db *DB) StartIndoubtDaemon(interval time.Duration) (stop func()) {
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-ticker.C:
-				db.ResolveIndoubts() //nolint:errcheck
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
 }

@@ -2,9 +2,7 @@ package hostdb
 
 import (
 	"fmt"
-
-	"repro/internal/rpc"
-	"repro/internal/value"
+	"time"
 )
 
 // XA global transactions (Section 3.3): "In the case of an XA transaction,
@@ -22,96 +20,49 @@ import (
 // prepared branch (table dl_xa), so that after a crash the DLFM sub-
 // transactions can be resolved from the engine log's authoritative outcome.
 
-// PrepareGlobal runs phase 1 of the global transaction on this branch.
-// After it returns nil the branch is indoubt until CommitGlobal or
-// AbortGlobal.
+// PrepareGlobal runs the pipeline's prepare and decide steps for this
+// branch: the DLFMs vote, then the host hardens its own branch with the
+// dl_xa mapping inside. After it returns nil the branch is indoubt until
+// CommitGlobal or AbortGlobal delivers the external coordinator's decision.
 func (s *Session) PrepareGlobal() error {
-	if s.txn == 0 {
-		return fmt.Errorf("hostdb: no transaction to prepare")
+	if err := s.committable(); err != nil {
+		return err
 	}
-	if s.dead {
-		return ErrTxnRolledBack
+	r := &commitRun{txn: s.txn, dp: atTM, start: time.Now(), parts: s.begunParts()}
+	if err := s.prepare(r); err != nil {
+		return s.abortCommit(err)
 	}
-	// The durable host-txn → engine-txn mapping; inserting it also makes
-	// sure an engine transaction exists to prepare.
-	if _, err := s.conn.Exec(`INSERT INTO dl_xa (host_txn, engine_txn) VALUES (?, ?)`,
-		value.Int(s.txn), value.Int(s.conn.TxnID())); err != nil {
-		s.rollbackInternal()
-		return fmt.Errorf("%w: %v", ErrTxnRolledBack, err)
+	if _, err := s.decide(r); err != nil {
+		return s.abortCommit(fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
 	}
-	// Cascade phase 1 to every enlisted DLFM, fanned out like Commit's.
-	outs := s.db.fanoutParts(s.sortedParts(), true, true, func(p *participant) (rpc.Response, error) {
-		return p.client.Call(rpc.PrepareReq{Txn: s.txn})
-	})
-	for i := range outs {
-		o := &outs[i]
-		if o.skipped || !o.failed() {
-			continue
-		}
-		s.rollbackInternal()
-		if o.err != nil {
-			return fmt.Errorf("%w: prepare at %s: %v", ErrTxnRolledBack, o.p.server, o.err)
-		}
-		return fmt.Errorf("%w: prepare at %s: %s: %s", ErrTxnRolledBack, o.p.server, o.resp.Code, o.resp.Msg)
-	}
-	// Harden the host branch.
-	if err := s.conn.PrepareTxn(); err != nil {
-		s.abortParts()
-		s.markDead()
-		return fmt.Errorf("%w: host prepare: %v", ErrTxnRolledBack, err)
-	}
-	s.preparedGlobal = true
+	s.global = r
 	return nil
 }
 
 // CommitGlobal completes a prepared branch after the global coordinator
-// decided commit.
+// decided commit. The engine commit is the branch's durable decision point
+// (DLFM resolution reads it from the engine log via dl_xa); if it fails the
+// branch stays prepared for the coordinator to retry. Phase 2 follows.
 func (s *Session) CommitGlobal() error {
-	if s.txn == 0 || !s.preparedGlobal {
+	if s.global == nil {
 		return fmt.Errorf("hostdb: no globally prepared transaction")
 	}
-	// The engine commit is the branch's durable decision point; the DLFM
-	// resolution path reads it from the engine log via dl_xa.
 	if err := s.conn.CommitPrepared(); err != nil {
 		return err
 	}
-	s.db.fanoutParts(s.sortedParts(), false, false, func(p *participant) (rpc.Response, error) {
-		return p.client.Call(rpc.CommitReq{Txn: s.txn}) // errors settle via indoubt resolution
-	})
-	s.db.stats.Commits.Add(1)
-	s.finishTxn()
-	return nil
+	return s.committed(s.global)
 }
 
 // AbortGlobal rolls a prepared branch back after the coordinator decided
 // abort.
 func (s *Session) AbortGlobal() error {
-	if s.txn == 0 || !s.preparedGlobal {
+	if s.global == nil {
 		return fmt.Errorf("hostdb: no globally prepared transaction")
 	}
 	if err := s.conn.RollbackPrepared(); err != nil {
 		return err
 	}
-	s.abortParts()
-	s.db.stats.Aborts.Add(1)
-	s.finishTxn()
-	return nil
-}
-
-// sortedParts returns the enlisted participants in deterministic order.
-func (s *Session) sortedParts() []*participant {
-	var enlisted []*participant
-	for _, p := range s.parts {
-		if p.begun {
-			enlisted = append(enlisted, p)
-		}
-	}
-	for i := 1; i < len(enlisted); i++ {
-		for j := i; j > 0 && enlisted[j-1].server > enlisted[j].server; j-- {
-			enlisted[j-1], enlisted[j] = enlisted[j], enlisted[j-1]
-		}
-	}
-	return enlisted
+	return s.abortCommit(nil)
 }
 
 // HostIndoubtBranches lists host transaction ids whose branches crash
@@ -144,16 +95,9 @@ func (db *DB) HostIndoubtBranches() ([]int64, error) {
 // indoubt host branch after a crash: the engine branch is committed or
 // rolled back, and the decision cascades to the DLFM sub-transactions.
 func (db *DB) ResolveHostBranch(hostTxn int64, commit bool) error {
-	rows, err := db.eng.DumpTable("dl_xa")
+	engineTxn, err := db.xaBranch(hostTxn)
 	if err != nil {
 		return err
-	}
-	var engineTxn int64
-	for _, r := range rows {
-		if r[0].Int64() == hostTxn {
-			engineTxn = r[1].Int64()
-			break
-		}
 	}
 	if engineTxn == 0 {
 		return fmt.Errorf("hostdb: no XA mapping for host transaction %d", hostTxn)
@@ -161,51 +105,28 @@ func (db *DB) ResolveHostBranch(hostTxn int64, commit bool) error {
 	if err := db.eng.ResolveIndoubt(engineTxn, commit); err != nil {
 		return err
 	}
-	// Cascade to the DLFMs (fresh connections; the crash severed the
-	// session's).
+	decision := "abort"
+	if commit {
+		decision = "commit"
+	}
+	// Cascade over fresh connections (the crash severed the session's); a
+	// DLFM that misses it is settled by the indoubt sweep later.
 	for _, server := range db.Servers() {
-		dial, err := db.dialer(server)
-		if err != nil {
-			continue
-		}
-		client, err := dial()
-		if err != nil {
-			continue // the indoubt daemon will settle it later
-		}
-		if commit {
-			client.Call(rpc.CommitReq{Txn: hostTxn}) //nolint:errcheck
-		} else {
-			client.Call(rpc.AbortReq{Txn: hostTxn}) //nolint:errcheck
-		}
-		client.Close()
+		db.callFresh(server, phase2Req(hostTxn, decision)) //nolint:errcheck
 	}
 	return nil
 }
 
-// xaOutcome consults the XA mapping for a DLFM indoubt transaction: the
-// engine log's outcome for the mapped branch is authoritative. Returns
-// ("commit"|"abort"|"wait"|"none").
-func (db *DB) xaOutcome(hostTxn int64) (string, error) {
+// xaBranch returns the engine transaction dl_xa maps hostTxn to, or 0.
+func (db *DB) xaBranch(hostTxn int64) (int64, error) {
 	rows, err := db.eng.DumpTable("dl_xa")
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	for _, r := range rows {
-		if r[0].Int64() != hostTxn {
-			continue
-		}
-		outcome, err := db.eng.TxnOutcome(r[1].Int64())
-		if err != nil {
-			return "", err
-		}
-		switch outcome {
-		case "committed":
-			return "commit", nil
-		case "prepared":
-			return "wait", nil // the global outcome is not known yet
-		default:
-			return "abort", nil
+		if r[0].Int64() == hostTxn {
+			return r[1].Int64(), nil
 		}
 	}
-	return "none", nil
+	return 0, nil
 }
