@@ -26,7 +26,8 @@ var (
 // ChildAgent serves one host connection, exactly as the paper's DLFM main
 // daemon spawns a child agent per DB2 agent connection (Section 3.5). It
 // owns one local-database connection; the host transaction's sub-
-// transaction context lives here between BeginTransaction and Commit/Abort.
+// transaction context lives here from the transaction's first request to
+// its Commit/Abort (or one-phase commit).
 type ChildAgent struct {
 	srv  *Server
 	conn *engine.Conn
@@ -37,6 +38,14 @@ type ChildAgent struct {
 	ops     int  // operations since the last intermediate commit
 	txnRow  bool // an 'F' row for cur exists in dlfm_txn
 	wrote   bool // cur performed a write on this DLFM (read-only vote)
+
+	// settled is the transaction this connection last committed in one
+	// phase. The host sends another request on a connection only once it
+	// has the reply and its own branch has landed — it abandons the
+	// connection otherwise — so the next one-phase commit or Forget here
+	// deletes that outcome in its local commit. A connection that ends
+	// first leaves it to the host's sweep.
+	settled int64
 }
 
 // NewAgent implements rpc.AgentFactory: one child agent per connection.
@@ -49,6 +58,7 @@ func (a *ChildAgent) Close() {
 	if a.conn.InTxn() {
 		a.conn.Rollback()
 	}
+	a.resetTxn()
 }
 
 // errCode maps local-database errors onto the wire codes the host's
@@ -115,6 +125,8 @@ func (a *ChildAgent) Handle(req any) rpc.Response {
 	switch r := req.(type) {
 	case rpc.BeginTxnReq:
 		return a.beginTxn(r)
+	case rpc.ForgetReq:
+		return a.forget(r)
 	case rpc.LinkFileReq:
 		return a.linkFile(r)
 	case rpc.UnlinkFileReq:
@@ -145,7 +157,7 @@ func (a *ChildAgent) Handle(req any) rpc.Response {
 		}
 		return rpc.Response{Linked: st.Linked, FullControl: st.FullControl}
 	case rpc.ListIndoubtReq:
-		return a.listIndoubt()
+		return a.listIndoubt(r)
 	case rpc.WaitArchiveReq:
 		return a.srv.waitArchive(a.conn, r.RecID)
 	case rpc.RegisterBackupReq:
@@ -173,20 +185,18 @@ func (a *ChildAgent) Handle(req any) rpc.Response {
 	}
 }
 
-// requireTxn validates the request's transaction context. The host always
-// brackets work with BeginTransaction, but a fresh agent may also resume a
-// transaction after reconnecting (indoubt resolution), so an unknown id
-// adopts the context rather than failing.
+// requireTxn validates the request's transaction context. The first request
+// of a transaction adopts its id — the host sends BeginTransaction only for
+// a batched utility transaction — and so does a fresh agent resuming one
+// after a reconnect (indoubt resolution).
 func (a *ChildAgent) requireTxn(txn int64) error {
 	if txn == 0 {
 		return errors.New("core: transaction id 0 is invalid")
 	}
 	if a.cur == 0 {
+		a.resetTxn()
 		a.cur = txn
-		a.txnRow = false
-		a.batched = false
-		a.ops = 0
-		a.wrote = false
+		a.srv.serving.add(txn, 1)
 		return nil
 	}
 	if a.cur != txn {
@@ -195,27 +205,26 @@ func (a *ChildAgent) requireTxn(txn int64) error {
 	return nil
 }
 
+// beginTxn is the explicit BeginTransaction; Batched marks a utility
+// transaction that commits locally every BatchN operations.
 func (a *ChildAgent) beginTxn(r rpc.BeginTxnReq) rpc.Response {
-	if a.cur != 0 {
-		return failCode("severe", "transaction %d still active on this connection", a.cur)
+	if err := a.requireTxn(r.Txn); err != nil {
+		return failCode("severe", "%v", err)
 	}
-	if r.Txn == 0 {
-		return failCode("severe", "transaction id 0 is invalid")
+	if r.Batched {
+		a.batched, a.batchN = true, r.BatchN
+		if a.batchN <= 0 {
+			a.batchN = a.srv.cfg.BatchCommitN
+		}
 	}
-	a.cur = r.Txn
-	a.batched = r.Batched
-	a.batchN = r.BatchN
-	if a.batched && a.batchN <= 0 {
-		a.batchN = a.srv.cfg.BatchCommitN
-	}
-	a.ops = 0
-	a.txnRow = false
-	a.wrote = false
 	return ok
 }
 
 // resetTxn clears the agent's transaction context after commit/abort.
 func (a *ChildAgent) resetTxn() {
+	if a.cur != 0 {
+		a.srv.serving.add(a.cur, -1)
+	}
 	a.cur = 0
 	a.batched = false
 	a.batchN = 0
@@ -410,11 +419,11 @@ func (a *ChildAgent) prepare(r rpc.PrepareReq) rpc.Response {
 	if err := a.requireTxn(r.Txn); err != nil {
 		return failCode("severe", "%v", err)
 	}
-	if a.srv.cfg.ReadOnlyVote && !a.wrote && !a.txnRow {
-		// Read-only vote fast path: this participant made no changes, so it
-		// has nothing to harden and no stake in the outcome. Release
-		// everything now and tell the coordinator to leave us out of phase 2
-		// — no 'P' entry, no second fsync, no second RPC.
+	if !a.wrote && !a.txnRow {
+		// Read-only vote: this participant made no changes, so it has
+		// nothing to harden and no stake in the outcome. Release everything
+		// now and tell the coordinator to leave us out of phase 2 — no 'P'
+		// entry, no second fsync, no second RPC.
 		if a.conn.InTxn() {
 			a.conn.Rollback()
 		}
@@ -429,13 +438,7 @@ func (a *ChildAgent) prepare(r rpc.PrepareReq) rpc.Response {
 		a.voteNo()
 		return fail(err)
 	}
-	if a.txnRow {
-		_, err = a.srv.stmts.get(sqlPromoteTxn).Exec(a.conn, value.Int(ngroups), value.Int(r.Txn))
-	} else {
-		_, err = a.srv.stmts.get(sqlInsertTxn).Exec(a.conn,
-			value.Int(r.Txn), value.Str("P"), value.Int(ngroups), value.Int(a.srv.now()))
-	}
-	if err != nil {
+	if err := a.hardenTxn("P", ngroups); err != nil {
 		a.voteNo()
 		return fail(err)
 	}
@@ -483,7 +486,7 @@ func (a *ChildAgent) abort(r rpc.AbortReq) rpc.Response {
 	if a.conn.InTxn() {
 		a.conn.Rollback()
 	}
-	resp := a.srv.phase2Abort(a.conn, r.Txn)
+	resp := a.srv.phase2Abort(a.conn, r.Txn, false)
 	if err := fpPhase2BeforeAck.FireDetail("abort"); err != nil {
 		a.resetTxn()
 		return failCode("severe", "abort ack of transaction %d: %v", r.Txn, err)
@@ -492,68 +495,66 @@ func (a *ChildAgent) abort(r rpc.AbortReq) rpc.Response {
 	return resp
 }
 
-// onePhaseCommit is the single-participant fast path: this DLFM is the
-// only resource manager with a stake in the transaction, so the host makes
-// it the commit decider. The transaction entry is hardened directly in
-// committed ('C') state and the phase-2 work runs in the same local
-// transaction — one fsync and one RPC where classic 2PC needs two of each.
-// Any local failure before the commit aborts the transaction (the decider
-// votes no by dying); a lost acknowledgement is resolved by the host with
-// QueryOutcome against the durable entry.
+// onePhaseCommit commits a transaction this DLFM alone took part in: the
+// host makes it the decider. The transaction entry is hardened directly as
+// a kept one-phase outcome ('O') and the phase-2 work runs in the same
+// local transaction — one fsync and one RPC where classic 2PC needs two of
+// each. Any local failure before the commit aborts the transaction (the
+// decider votes no by dying); a lost acknowledgement is resolved by the
+// host with QueryOutcome against the kept entry, which stays until a later
+// request forgets it. The connection's previous one-phase outcome is
+// forgotten in the same local commit.
 func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 	if err := a.requireTxn(r.Txn); err != nil {
 		return failCode("severe", "%v", err)
 	}
-	if !a.conn.InTxn() && !a.txnRow {
-		// Nothing was ever done here: an empty transaction commits
-		// trivially and leaves no durable trace — committed and aborted are
-		// the same outcome. (A lost reply is never re-sent; the host
-		// resolves it with QueryOutcome.)
-		a.resetTxn()
-		return ok
-	}
-
 	fatal := func(err error) rpc.Response {
-		// The decider votes no: roll everything back and report the abort.
+		// The decider votes no: roll everything back — a batched
+		// transaction's intermediate commits too — and report the abort.
 		if a.conn.InTxn() {
 			a.conn.Rollback()
+		}
+		if a.txnRow {
+			a.srv.phase2Abort(a.conn, r.Txn, false)
 		}
 		a.srv.stats.PrepareFails.Add(1)
 		a.srv.tracer.Emit(r.Txn, "agent", "one_phase_abort", "")
 		a.resetTxn()
 		return fail(err)
 	}
+	if !a.conn.InTxn() && !a.txnRow {
+		// Nothing was ever done here: an empty transaction commits
+		// trivially and leaves no outcome to keep — committed and aborted
+		// are the same here. Only forgetting needs a local commit.
+		if err := a.forgetSettled(nil); err != nil {
+			return fatal(err)
+		}
+		a.resetTxn()
+		return ok
+	}
 	ngroups, _, err := a.srv.stmts.get(sqlCountGroupsDel).QueryInt(a.conn, value.Int(r.Txn))
 	if err != nil {
 		return fatal(err)
 	}
-	// The 'C' entry is the commit record the host may later query; the
-	// Delete Group daemon garbage-collects it once its groups (if any) are
-	// processed.
-	if a.txnRow {
-		if _, err = a.srv.stmts.get(sqlPromoteTxn).Exec(a.conn, value.Int(ngroups), value.Int(r.Txn)); err == nil {
-			_, err = a.srv.stmts.get(sqlMarkTxnCmt).Exec(a.conn, value.Int(r.Txn))
+	if a.settled != 0 {
+		if err := a.srv.forgetOutcomes(a.conn, []int64{a.settled}); err != nil {
+			return fatal(err)
 		}
-	} else {
-		_, err = a.srv.stmts.get(sqlInsertTxn).Exec(a.conn,
-			value.Int(r.Txn), value.Str("C"), value.Int(ngroups), value.Int(a.srv.now()))
 	}
-	if err != nil {
+	// A QueryOutcome that already answered "none" left an 'A' entry: the
+	// insert collides on the unique txnid and the commit is refused.
+	if err := a.hardenTxn("O", ngroups); err != nil {
 		return fatal(err)
 	}
-	work, err := a.srv.gatherCommitWork(a.conn, r.Txn)
+	work, readied, err := a.srv.gatherCommitWork(a.conn, r.Txn)
 	if err != nil {
 		return fatal(err)
 	}
 	if err := a.conn.Commit(); err != nil { // the single fsync
 		return fatal(err)
 	}
-	a.srv.applyChownWork(a.conn, work)
-	if ngroups > 0 {
-		a.srv.delGroup.notify(r.Txn)
-	}
-	a.srv.copyd.kick()
-	a.srv.stats.Commits.Add(1)
+	a.settled = r.Txn
+	a.srv.afterCommit(a.conn, r.Txn, ngroups, work, readied)
 	a.srv.stats.OnePhaseCommits.Add(1)
 	a.resetTxn()
 	if err := fpPhase2BeforeAck.FireDetail("onephase"); err != nil {
@@ -564,33 +565,75 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 	return ok
 }
 
-// queryOutcome reports the durable fate of a transaction from the local
-// transaction table: "committed", "prepared", or "none" (aborted, never
-// hardened, or already garbage-collected).
-func (a *ChildAgent) queryOutcome(r rpc.QueryOutcomeReq) rpc.Response {
-	rows, err := a.srv.stmts.get(sqlTxnState).Query(a.conn, value.Int(r.Txn))
-	if err != nil {
-		return fail(err)
+// hardenTxn writes the current transaction's entry in state: inserted, or
+// the in-flight entry of a batched transaction promoted.
+func (a *ChildAgent) hardenTxn(state string, ngroups int64) error {
+	if a.txnRow {
+		_, err := a.srv.stmts.get(sqlSetTxnState).Exec(a.conn, value.Str(state), value.Int(ngroups), value.Int(a.cur))
+		return err
 	}
-	if err := a.conn.Commit(); err != nil {
-		return fail(err)
-	}
-	msg := "none"
-	if len(rows) > 0 {
-		switch rows[0][0].Text() {
-		case "C":
-			msg = "committed"
-		case "P":
-			msg = "prepared"
-		default:
-			msg = "inflight"
-		}
-	}
-	return rpc.Response{Msg: msg}
+	_, err := a.srv.stmts.get(sqlInsertTxn).Exec(a.conn,
+		value.Int(a.cur), value.Str(state), value.Int(ngroups), value.Int(a.srv.now()))
+	return err
 }
 
-func (a *ChildAgent) listIndoubt() rpc.Response {
-	rows, err := a.srv.stmts.get(sqlIndoubtTxns).Query(a.conn)
+// queryOutcome reports the durable fate of a transaction from the local
+// transaction table: "committed", "prepared", "inflight" (a batched
+// transaction's intermediate commits) or "none". The host presumes abort on
+// "none", so before answering it the agent records the abort ('A'): a
+// one-phase commit of the transaction still on its way can then never
+// commit here. The host forgets the 'A' entry like a kept outcome. A
+// batched transaction in flight that no agent serves any more can never
+// commit either — its connection died before the commit request — so its
+// intermediate commits are compensated and the abort recorded with them.
+func (a *ChildAgent) queryOutcome(r rpc.QueryOutcomeReq) rpc.Response {
+	abort := func(err error) rpc.Response {
+		if a.conn.InTxn() {
+			a.conn.Rollback()
+		}
+		return fail(err)
+	}
+	rows, err := a.srv.stmts.get(sqlTxnState).Query(a.conn, value.Int(r.Txn))
+	if err != nil {
+		return abort(err)
+	}
+	state := "A"
+	if len(rows) > 0 {
+		state = rows[0][0].Text()
+		if state == "F" && !a.srv.serving.has(r.Txn) {
+			if resp := a.srv.phase2Abort(a.conn, r.Txn, true); !resp.OK() {
+				return resp
+			}
+			return rpc.Response{Msg: "none"}
+		}
+	} else if _, err := a.srv.stmts.get(sqlInsertTxn).Exec(a.conn,
+		value.Int(r.Txn), value.Str("A"), value.Int(0), value.Int(a.srv.now())); err != nil {
+		// A duplicate means the transaction's own commit just landed; the
+		// host asks again.
+		return abort(err)
+	}
+	if err := a.conn.Commit(); err != nil {
+		return abort(err)
+	}
+	switch state {
+	case "C", "O":
+		return rpc.Response{Msg: "committed"}
+	case "P":
+		return rpc.Response{Msg: "prepared"}
+	case "A":
+		return rpc.Response{Msg: "none"}
+	}
+	return rpc.Response{Msg: "inflight"}
+}
+
+// listIndoubt lists the prepared transactions, or with Kept the kept
+// one-phase outcomes.
+func (a *ChildAgent) listIndoubt(r rpc.ListIndoubtReq) rpc.Response {
+	stmt := sqlIndoubtTxns
+	if r.Kept {
+		stmt = sqlKeptTxns
+	}
+	rows, err := a.srv.stmts.get(stmt).Query(a.conn)
 	if err != nil {
 		return fail(err)
 	}
@@ -603,6 +646,62 @@ func (a *ChildAgent) listIndoubt() rpc.Response {
 	}
 	a.srv.stats.IndoubtReports.Add(1)
 	return rpc.Response{Txns: txns}
+}
+
+// forget deletes kept outcomes the host no longer needs — those listed and
+// the connection's settled one.
+func (a *ChildAgent) forget(r rpc.ForgetReq) rpc.Response {
+	if a.cur != 0 {
+		return failCode("severe", "transaction %d still active on this connection", a.cur)
+	}
+	if err := a.forgetSettled(r.Txns); err != nil {
+		return fail(err)
+	}
+	return ok
+}
+
+// forgetSettled deletes the kept outcomes of txns and of the connection's
+// settled transaction in a local transaction of its own.
+func (a *ChildAgent) forgetSettled(txns []int64) error {
+	if a.settled != 0 {
+		txns = append(txns, a.settled)
+	}
+	if err := a.srv.forgetOutcomes(a.conn, txns); err != nil {
+		if a.conn.InTxn() {
+			a.conn.Rollback()
+		}
+		return err
+	}
+	if a.conn.InTxn() {
+		if err := a.conn.Commit(); err != nil {
+			return err
+		}
+	}
+	a.settled = 0
+	return nil
+}
+
+// forgetOutcomes deletes the kept outcomes ('O', 'A') of txns inside the
+// caller's local transaction. A one-phase outcome whose dropped groups the
+// Delete Group daemon still owes becomes an ordinary committed entry ('C'),
+// which the daemon deletes once it is done. A transaction an agent still
+// serves keeps its entry: a one-phase commit of it may yet reach that
+// agent, and only a recorded abort refuses it. The host's sweep retries
+// those.
+func (s *Server) forgetOutcomes(conn *engine.Conn, txns []int64) error {
+	for _, txn := range txns {
+		if s.serving.has(txn) {
+			continue
+		}
+		n, err := s.stmts.get(sqlForgetTxn).Exec(conn, value.Int(txn))
+		if err == nil && n == 0 {
+			_, err = s.stmts.get(sqlHandOverTxn).Exec(conn, value.Int(txn))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // groupInfo reads one file group's attributes within the caller's

@@ -85,11 +85,6 @@ type Config struct {
 	// processing; work is driven through RunDeleteGroup instead. Tests and
 	// the E8 benchmark use it to control the batch size deterministically.
 	ManualDeleteGroup bool
-	// ReadOnlyVote enables the prepare fast path: a participant that made
-	// no changes in the transaction answers phase 1 with a read-only vote —
-	// it releases everything immediately, writes no 'P' entry (no fsync),
-	// and is excluded from phase 2 by the coordinator.
-	ReadOnlyVote bool
 	// OutcomeLearner, when set, lets this DLFM learn a prepared
 	// transaction's outcome without its coordinator — the non-blocking
 	// property of Paxos Commit. The learner daemon calls it for prepared
@@ -183,6 +178,9 @@ type Server struct {
 	// by the replication apply path, writes are fenced at the agent, and
 	// the daemons wait for Promote.
 	standby atomic.Bool
+
+	// serving counts the child agents serving each transaction.
+	serving txnCounts
 
 	mu      sync.Mutex
 	stopped bool
@@ -410,6 +408,29 @@ func (s *Server) Crash() error {
 }
 
 func (s *Server) now() int64 { return time.Now().UnixNano() }
+
+// txnCounts is a concurrent multiset of transaction ids.
+type txnCounts struct {
+	mu sync.Mutex
+	n  map[int64]int
+}
+
+func (c *txnCounts) add(txn int64, d int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n == nil {
+		c.n = make(map[int64]int)
+	}
+	if c.n[txn] += d; c.n[txn] <= 0 {
+		delete(c.n, txn)
+	}
+}
+
+func (c *txnCounts) has(txn int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[txn] > 0
+}
 
 // bootstrapSchema creates the DLFM metadata tables (Section 3.1) if this is
 // a fresh database; after a crash the engine recovers them from its log.

@@ -348,3 +348,47 @@ func TestBatchedTransactionAbortCompensatesCommittedPieces(t *testing.T) {
 		t.Fatalf("txn entries after batched abort = %d", n)
 	}
 }
+
+// TestNoRecoveryCommitSkipsCopyScan: committing a link into a group without
+// recovery queues no archive copy, so it must not wake the Copy daemon,
+// whose batch query scans the whole Archive table — the per-link table scan
+// the benchmark found. A recovery group's commit still wakes it.
+func TestNoRecoveryCommitSkipsCopyScan(t *testing.T) {
+	h := newHarness(t)
+	// Stand in for the Copy daemon so its wake-ups can be counted.
+	h.srv.copyd.stop()
+	copyd := &copyDaemon{srv: h.srv, kickCh: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})}
+	close(copyd.done)
+	h.srv.copyd = copyd
+	woken := func() bool {
+		select {
+		case <-copyd.kickCh:
+			return true
+		default:
+			return false
+		}
+	}
+	h.createGroup(h.agent, 1, false, false)
+	h.createGroup(h.agent, 2, true, false)
+	woken()
+
+	scans := h.srv.DB().Stats().TableScans
+	h.createFile("/plain/a", "app", "x")
+	h.linkCommitted(h.agent, "/plain/a", 1) // 2PC phase 2
+	h.createFile("/plain/b", "app", "x")
+	txn := h.nextTxn()
+	h.must(h.agent.Handle(rpc.LinkFileReq{Txn: txn, Name: "/plain/b", RecID: h.nextRec(), Grp: 1}))
+	h.must(h.agent.Handle(rpc.OnePhaseCommitReq{Txn: txn}))
+	if d := h.srv.DB().Stats().TableScans - scans; d != 0 {
+		t.Errorf("committing links into a no-recovery group took %d table scans, want 0", d)
+	}
+	if woken() {
+		t.Error("a commit with no archive copy woke the Copy daemon")
+	}
+
+	h.createFile("/kept/a", "app", "x")
+	h.linkCommitted(h.agent, "/kept/a", 2)
+	if !woken() {
+		t.Error("a commit that queued an archive copy did not wake the Copy daemon")
+	}
+}

@@ -113,13 +113,16 @@ func TestPrepareFailsOnDuplicateTxnEntry(t *testing.T) {
 	// dlfm_txn and votes no.
 	h := newHarness(t)
 	h.createFile("/a", "alice", "x")
+	h.createFile("/b", "alice", "x")
 	h.createGroup(h.agent, 1, false, false)
 	txn := h.nextTxn()
 	h.must(h.agent.Handle(rpc.BeginTxnReq{Txn: txn}))
 	h.must(h.agent.Handle(rpc.LinkFileReq{Txn: txn, Name: "/a", RecID: h.nextRec(), Grp: 1}))
 	h.must(h.agent.Handle(rpc.PrepareReq{Txn: txn}))
 
+	// The second agent writes too; a read-only one would vote read-only.
 	other := h.newAgent()
+	h.must(other.Handle(rpc.LinkFileReq{Txn: txn, Name: "/b", RecID: h.nextRec(), Grp: 1}))
 	resp := other.Handle(rpc.PrepareReq{Txn: txn})
 	if resp.OK() {
 		t.Fatalf("second prepare of same txn succeeded: %+v", resp)

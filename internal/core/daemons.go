@@ -774,7 +774,8 @@ func (s *Server) runDeleteGroup(conn *engine.Conn, txn int64, batchN int) error 
 		s.stats.GroupsDeleted.Add(1)
 		s.tracer.Emitf(txn, "daemon", "group_deleted", "group %d", grpID)
 	}
-	if _, err := s.stmts.get(sqlDeleteTxn).Exec(conn, value.Int(txn)); err != nil {
+	// A one-phase outcome ('O') stays for the host to forget.
+	if _, err := s.stmts.get(sqlGroupsDone).Exec(conn, value.Int(txn)); err != nil {
 		return abort(err)
 	}
 	return conn.Commit()
@@ -874,7 +875,7 @@ func (s *Server) learnWithGrace(conn *engine.Conn, grace time.Duration) error {
 		case "commit":
 			resp = s.phase2Commit(conn, txn)
 		case "abort":
-			resp = s.phase2Abort(conn, txn)
+			resp = s.phase2Abort(conn, txn, false)
 		default:
 			continue
 		}

@@ -4,8 +4,10 @@ package core_test
 // through a full host + DLFM stack with the fault registry: participant
 // crash after hardening its vote, coordinator crash between phases, and
 // commit messages lost on the wire (Section 3.3; Gray & Lamport's failure
-// enumeration). They share the process-wide fault registry with the
-// instrumented packages, so none of them may run in parallel.
+// enumeration). A transaction with one DLFM commits in one phase, so the
+// 2PC windows are opened by transactions writing on fs1 and fs2. They share
+// the process-wide fault registry with the instrumented packages, so none
+// of them may run in parallel.
 
 import (
 	"errors"
@@ -25,15 +27,18 @@ import (
 	"repro/internal/workload"
 )
 
-// faultStack builds a one-DLFM deployment with a clean fault registry.
+// faultStack builds a two-DLFM deployment with a clean fault registry. The
+// host drives prepare and phase 2 sequentially, fs1 first, so a fault that
+// fires once lands on fs1.
 func faultStack(t *testing.T, mutate func(*core.Config)) *workload.Stack {
 	t.Helper()
 	fault.Default().Reset()
 	t.Cleanup(func() { fault.Default().Reset() })
 	st, err := workload.NewStack(workload.StackConfig{
-		Servers: []string{"fs1"},
+		Servers: []string{"fs1", "fs2"},
 		MutateHost: func(h *hostdb.Config) {
 			h.DB.LockTimeout = 2 * time.Second
+			h.CommitFanout = 1
 		},
 		MutateDLFM: func(_ string, c *core.Config) {
 			c.DB.LockTimeout = 2 * time.Second
@@ -49,12 +54,12 @@ func faultStack(t *testing.T, mutate func(*core.Config)) *workload.Stack {
 	return st
 }
 
-// linkTable creates a table with one DATALINK column.
+// linkTable creates a table with two DATALINK columns, doc and doc2.
 func linkTable(t *testing.T, st *workload.Stack, table string) {
 	t.Helper()
 	err := st.Host.CreateTable(
-		fmt.Sprintf(`CREATE TABLE %s (id BIGINT NOT NULL, doc VARCHAR)`, table),
-		hostdb.DatalinkCol{Name: "doc", Recovery: false, FullControl: false},
+		fmt.Sprintf(`CREATE TABLE %s (id BIGINT NOT NULL, doc VARCHAR, doc2 VARCHAR)`, table),
+		hostdb.DatalinkCol{Name: "doc"}, hostdb.DatalinkCol{Name: "doc2"},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -64,15 +69,23 @@ func linkTable(t *testing.T, st *workload.Stack, table string) {
 // beginLink creates a fresh file on fs1 and starts a host transaction that
 // links it; the caller decides how the commit goes wrong.
 func beginLink(t *testing.T, st *workload.Stack, table string, id int64) (*hostdb.Session, string) {
+	return beginLinks(t, st, table, id, "fs1")
+}
+
+// beginLinks is beginLink linking the same path on each of servers (doc on
+// the first, doc2 on the second) in one host row; it returns the path.
+func beginLinks(t *testing.T, st *workload.Stack, table string, id int64, servers ...string) (*hostdb.Session, string) {
 	t.Helper()
 	path := fmt.Sprintf("/docs/%s%03d", table, id)
-	if err := st.FS["fs1"].Create(path, "app", []byte("content")); err != nil {
-		t.Fatal(err)
+	params := []value.Value{value.Int(id), value.Null, value.Null}
+	for i, server := range servers {
+		if err := st.FS[server].Create(path, "app", []byte("content")); err != nil {
+			t.Fatal(err)
+		}
+		params[i+1] = value.Str(hostdb.URL(server, path))
 	}
 	s := st.Host.Session()
-	if _, err := s.Exec(
-		fmt.Sprintf(`INSERT INTO %s (id, doc) VALUES (?, ?)`, table),
-		value.Int(id), value.Str(hostdb.URL("fs1", path))); err != nil {
+	if _, err := s.Exec(fmt.Sprintf(`INSERT INTO %s (id, doc, doc2) VALUES (?, ?, ?)`, table), params...); err != nil {
 		s.Close()
 		t.Fatal(err)
 	}
@@ -127,7 +140,7 @@ func hostRowCount(t *testing.T, st *workload.Stack, table string) int {
 func TestDLFMCrashAfterPrepare(t *testing.T) {
 	st := faultStack(t, nil)
 	linkTable(t, st, "pc")
-	s, path := beginLink(t, st, "pc", 1)
+	s, path := beginLinks(t, st, "pc", 1, "fs1", "fs2")
 	defer s.Close()
 
 	fault.Default().Arm("core.prepare.after_local_commit", fault.Action{Crash: true}, fault.Times(1))
@@ -176,7 +189,7 @@ func TestDLFMCrashAfterPrepare(t *testing.T) {
 func TestCoordinatorCrashBeforePhase2(t *testing.T) {
 	st := faultStack(t, nil)
 	linkTable(t, st, "cc")
-	s, path := beginLink(t, st, "cc", 1)
+	s, path := beginLinks(t, st, "cc", 1, "fs1", "fs2")
 	defer s.Close()
 
 	fault.Default().Arm("hostdb.commit.between_phases", fault.Action{}, fault.Times(1))
@@ -198,8 +211,8 @@ func TestCoordinatorCrashBeforePhase2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("ResolveIndoubts = %d, want 1", n)
+	if n != 2 {
+		t.Fatalf("ResolveIndoubts = %d, want 2 (both participants)", n)
 	}
 	if state, found := fileState(t, st, path); !found || state != "L" {
 		t.Errorf("dlfm_file state = %q (found %v), want linked after re-driven commit", state, found)
@@ -220,7 +233,7 @@ func TestCoordinatorCrashBeforePhase2(t *testing.T) {
 func TestConnDropMidCommitReissued(t *testing.T) {
 	st := faultStack(t, nil)
 	linkTable(t, st, "cd")
-	s, path := beginLink(t, st, "cd", 1)
+	s, path := beginLinks(t, st, "cd", 1, "fs1", "fs2")
 	defer s.Close()
 
 	_, _, reissuesBefore := rpc.Stats()
@@ -254,10 +267,11 @@ func TestPhase2GiveupSurfacesWedgedTxn(t *testing.T) {
 		c.Phase2BackoffCap = 2 * time.Millisecond
 	})
 	linkTable(t, st, "gv")
-	s, path := beginLink(t, st, "gv", 1)
+	s, path := beginLinks(t, st, "gv", 1, "fs1", "fs2")
 	defer s.Close()
 
-	fault.Default().Arm("core.phase2.work", fault.Action{Err: engine.ErrTimeout}, fault.Match("commit"))
+	// Three firings, all on fs1's phase 2 (fs2's comes after it).
+	fault.Default().Arm("core.phase2.work", fault.Action{Err: engine.ErrTimeout}, fault.Match("commit"), fault.Times(3))
 	// The host fires phase 2 and ignores the severe answer; the commit is
 	// decided regardless of whether this DLFM managed to apply it.
 	txn := s.TxnID()
@@ -298,19 +312,25 @@ func TestPhase2GiveupSurfacesWedgedTxn(t *testing.T) {
 // TestPrepareLocalCommitFailureVotesNo: a failure hardening the prepare
 // (the local database commit) must surface as a "no" vote, rolling the
 // whole transaction back everywhere — nothing hardened, nothing indoubt.
+// fs1 prepares first and hardens its vote; fs2's prepare is the commit that
+// fails, so the host's abort must also compensate fs1's hardened entry.
 func TestPrepareLocalCommitFailureVotesNo(t *testing.T) {
 	st := faultStack(t, nil)
 	linkTable(t, st, "vn")
-	s, path := beginLink(t, st, "vn", 1)
+	s, path := beginLinks(t, st, "vn", 1, "fs1", "fs2")
 	defer s.Close()
 
-	before := st.DLFMs["fs1"].Stats().PrepareFails
-	fault.Default().Arm("engine.txn.commit", fault.Action{}, fault.Times(1))
+	prepares := st.DLFMs["fs1"].Stats().Prepares
+	before := st.DLFMs["fs2"].Stats().PrepareFails
+	fault.Default().Arm("engine.txn.commit", fault.Action{}, fault.After(1), fault.Times(1))
 	if err := s.Commit(); !errors.Is(err, hostdb.ErrTxnRolledBack) {
 		t.Fatalf("commit with failed prepare = %v, want ErrTxnRolledBack", err)
 	}
-	if d := st.DLFMs["fs1"].Stats().PrepareFails - before; d != 1 {
-		t.Errorf("PrepareFails delta = %d, want 1", d)
+	if d := st.DLFMs["fs1"].Stats().Prepares - prepares; d != 1 {
+		t.Errorf("fs1 Prepares delta = %d, want 1 (the transaction took two phases)", d)
+	}
+	if d := st.DLFMs["fs2"].Stats().PrepareFails - before; d != 1 {
+		t.Errorf("fs2 PrepareFails delta = %d, want 1", d)
 	}
 	if n := preparedCount(t, st); n != 0 {
 		t.Errorf("prepared entries = %d, want 0 (vote no leaves nothing behind)", n)

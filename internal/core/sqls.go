@@ -42,14 +42,22 @@ const (
 	sqlUnlinkedOfGroup   = `SELECT name, recid, chkflag FROM dlfm_file WHERE grpid = ? AND state = 'U'`
 	sqlDropFileByNameChk = `DELETE FROM dlfm_file WHERE name = ? AND chkflag = ?`
 
-	// Transaction table (Section 3.3).
+	// Transaction table (Section 3.3). States: 'F' in flight (a batched
+	// transaction's intermediate local commits), 'P' prepared, 'C'
+	// committed with dropped groups the Delete Group daemon still owes, and
+	// two outcomes kept until the host forgets them — 'O' committed in one
+	// phase, 'A' aborted (QueryOutcome found nothing and made "none" final).
 	sqlInsertTxn    = `INSERT INTO dlfm_txn (txnid, state, ngroups, ts) VALUES (?, ?, ?, ?)`
 	sqlTxnState     = `SELECT state, ngroups FROM dlfm_txn WHERE txnid = ?`
-	sqlPromoteTxn   = `UPDATE dlfm_txn SET state = 'P', ngroups = ? WHERE txnid = ?`
+	sqlSetTxnState  = `UPDATE dlfm_txn SET state = ?, ngroups = ? WHERE txnid = ?`
 	sqlMarkTxnCmt   = `UPDATE dlfm_txn SET state = 'C' WHERE txnid = ?`
 	sqlDeleteTxn    = `DELETE FROM dlfm_txn WHERE txnid = ?`
 	sqlIndoubtTxns  = `SELECT txnid FROM dlfm_txn WHERE state = 'P'`
 	sqlCommittedTxn = `SELECT txnid FROM dlfm_txn WHERE state = 'C'`
+	sqlGroupsDone   = `DELETE FROM dlfm_txn WHERE txnid = ? AND state = 'C'`
+	sqlKeptTxns     = `SELECT txnid FROM dlfm_txn WHERE state <> 'P' AND state <> 'F' AND state <> 'C'`
+	sqlForgetTxn    = `DELETE FROM dlfm_txn WHERE txnid = ? AND ngroups = 0 AND state <> 'P' AND state <> 'F'`
+	sqlHandOverTxn  = `UPDATE dlfm_txn SET state = 'C' WHERE txnid = ? AND state = 'O'`
 	// The outcome-learner daemon also needs each prepared entry's age, so
 	// it only consults the Paxos acceptors for transactions whose
 	// coordinator has had a fair chance to finish phase 2 itself.
@@ -98,8 +106,9 @@ var allSQL = []string{
 	sqlGroupLookup, sqlInsertGroup, sqlMarkGroupDeleted, sqlCountGroupsDel,
 	sqlGroupsOfTxn, sqlRestoreGroups, sqlAbortGroups, sqlGroupTombstone, sqlExpiredGroups,
 	sqlDeleteGroupRow, sqlLinkedFilesOfGrp, sqlUnlinkedOfGroup,
-	sqlDropFileByNameChk, sqlInsertTxn, sqlTxnState, sqlPromoteTxn,
+	sqlDropFileByNameChk, sqlInsertTxn, sqlTxnState, sqlSetTxnState,
 	sqlMarkTxnCmt, sqlDeleteTxn, sqlIndoubtTxns, sqlCommittedTxn, sqlIndoubtTxnsTs,
+	sqlGroupsDone, sqlKeptTxns, sqlForgetTxn, sqlHandOverTxn,
 	sqlFilesLinkedBy, sqlFilesUnlinkedBy, sqlPurgeMarkedDel,
 	sqlReadyArchives, sqlAbortLinks, sqlAbortUnlinks, sqlAbortArchives,
 	sqlPendingCopies, sqlDeleteArchive, sqlBoostPriority, sqlCountPending,

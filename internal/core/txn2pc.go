@@ -93,19 +93,23 @@ func (s *Server) tryCommit(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 	if err != nil {
 		return fatal(err)
 	}
-	if len(rows) == 0 {
-		// Already committed (retry after a lost ack), or nothing was ever
-		// hardened. Either way there is nothing to do.
+	if len(rows) == 0 || rows[0][0].Text() != "P" {
+		// Already committed (retry after a lost ack, or a one-phase outcome
+		// kept for the host), or nothing was ever hardened. Either way there
+		// is nothing to do — unless the entry records an abort.
 		if conn.InTxn() {
 			if err := conn.Commit(); err != nil {
 				return fatal(err)
 			}
 		}
+		if len(rows) > 0 && rows[0][0].Text() == "A" {
+			return failCode("severe", "transaction %d was aborted here", txn), false
+		}
 		return ok, false
 	}
 	ngroups := rows[0][1].Int64()
 
-	work, err := s.gatherCommitWork(conn, txn)
+	work, readied, err := s.gatherCommitWork(conn, txn)
 	if err != nil {
 		return fatal(err)
 	}
@@ -122,20 +126,25 @@ func (s *Server) tryCommit(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 	if err := conn.Commit(); err != nil {
 		return fatal(err)
 	}
+	s.afterCommit(conn, txn, ngroups, work, readied)
+	return ok, false
+}
 
-	// The commit is durable; now perform the file-system side effects.
-	// "Actual takeover or release of the file from file system is done
-	// during the second phase of the commit processing" via the Chown
-	// daemon (Sections 3.2, 3.5). Failures here (file vanished) are
-	// tolerated: the metadata is authoritative.
+// afterCommit is what follows a durable commit, phase-2 or one-phase: the
+// file-system side effects — "actual takeover or release of the file from
+// file system is done during the second phase of the commit processing"
+// via the Chown daemon (Sections 3.2, 3.5); failures there (file vanished)
+// are tolerated, the metadata is authoritative — then the daemons with new
+// work.
+func (s *Server) afterCommit(conn *engine.Conn, txn, ngroups int64, work []chownWork, readied bool) {
 	s.applyChownWork(conn, work)
-
 	if ngroups > 0 {
 		s.delGroup.notify(txn)
 	}
-	s.copyd.kick()
+	if readied {
+		s.copyd.kick()
+	}
 	s.stats.Commits.Add(1)
-	return ok, false
 }
 
 // gatherCommitWork performs the per-file commit work inside the caller's
@@ -145,30 +154,33 @@ func (s *Server) tryCommit(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 // copies visible to the Copy daemon, and physically delete entries the
 // transaction marked deleted, which is only safe now that the outcome is
 // decided (Section 3.2). Shared by phase-2 commit and the fused
-// one-phase-commit handler.
-func (s *Server) gatherCommitWork(conn *engine.Conn, txn int64) ([]chownWork, error) {
-	var work []chownWork
+// one-phase-commit handler; readied reports whether the Copy daemon has new
+// work.
+func (s *Server) gatherCommitWork(conn *engine.Conn, txn int64) (work []chownWork, readied bool, err error) {
 	linked, err := s.stmts.get(sqlFilesLinkedBy).Query(conn, value.Int(txn))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	for _, r := range linked {
 		work = append(work, chownWork{name: r[0].Text(), grpID: r[1].Int64(), owner: r[2].Text(), takeover: true})
 	}
 	unlinked, err := s.stmts.get(sqlFilesUnlinkedBy).Query(conn, value.Int(txn))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	for _, r := range unlinked {
 		work = append(work, chownWork{name: r[0].Text(), grpID: r[1].Int64(), owner: r[2].Text()})
 	}
-	if _, err := s.stmts.get(sqlReadyArchives).Exec(conn, value.Int(txn)); err != nil {
-		return nil, err
+	// Only a group with recovery queues archive copies; waking the Copy
+	// daemon for nothing would cost it a scan of the Archive table.
+	n, err := s.stmts.get(sqlReadyArchives).Exec(conn, value.Int(txn))
+	if err != nil {
+		return nil, false, err
 	}
 	if _, err := s.stmts.get(sqlPurgeMarkedDel).Exec(conn, value.Int(txn)); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return work, nil
+	return work, n > 0, nil
 }
 
 // applyChownWork resolves group attributes and drives the Chown daemon.
@@ -211,11 +223,12 @@ func (s *Server) applyChownWork(conn *engine.Conn, work []chownWork) {
 // changes are already committed in the local database, so they are undone
 // with the delayed-update compensation — "an innovative scheme to enable
 // rolling back transaction update after local database commit" (Abstract,
-// Section 4). Like commit, it retries until it succeeds.
-func (s *Server) phase2Abort(conn *engine.Conn, txn int64) rpc.Response {
+// Section 4). Like commit, it retries until it succeeds. With record the
+// entry is kept as a recorded abort ('A') instead of deleted.
+func (s *Server) phase2Abort(conn *engine.Conn, txn int64, record bool) rpc.Response {
 	bo := fault.Backoff{Base: s.cfg.Phase2Backoff, Cap: s.cfg.Phase2BackoffCap}
 	for attempt := 0; ; attempt++ {
-		resp, retry := s.tryAbort(conn, txn)
+		resp, retry := s.tryAbort(conn, txn, record)
 		if !retry {
 			return resp
 		}
@@ -233,7 +246,7 @@ func (s *Server) phase2Abort(conn *engine.Conn, txn int64) rpc.Response {
 	}
 }
 
-func (s *Server) tryAbort(conn *engine.Conn, txn int64) (rpc.Response, bool) {
+func (s *Server) tryAbort(conn *engine.Conn, txn int64, record bool) (rpc.Response, bool) {
 	fatal := func(err error) (rpc.Response, bool) {
 		if conn.InTxn() {
 			conn.Rollback()
@@ -251,9 +264,9 @@ func (s *Server) tryAbort(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 	if err != nil {
 		return fatal(err)
 	}
-	if len(rows) == 0 {
+	if len(rows) == 0 || rows[0][0].Text() == "A" {
 		// Nothing hardened: the agent's local rollback already undid the
-		// in-flight changes (or the abort is a retry).
+		// in-flight changes (or the abort is a retry, or already recorded).
 		if conn.InTxn() {
 			if err := conn.Commit(); err != nil {
 				return fatal(err)
@@ -261,6 +274,10 @@ func (s *Server) tryAbort(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 		}
 		s.stats.Aborts.Add(1)
 		return ok, false
+	}
+	if st := rows[0][0].Text(); st == "C" || st == "O" {
+		conn.Commit()
+		return failCode("severe", "transaction %d committed here", txn), false
 	}
 
 	// Compensation, in an order that respects the unique (name, chkflag)
@@ -283,7 +300,12 @@ func (s *Server) tryAbort(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 	if _, err := s.stmts.get(sqlAbortGroups).Exec(conn, value.Int(txn)); err != nil {
 		return fatal(err)
 	}
-	if _, err := s.stmts.get(sqlDeleteTxn).Exec(conn, value.Int(txn)); err != nil {
+	if record {
+		_, err = s.stmts.get(sqlSetTxnState).Exec(conn, value.Str("A"), value.Int(0), value.Int(txn))
+	} else {
+		_, err = s.stmts.get(sqlDeleteTxn).Exec(conn, value.Int(txn))
+	}
+	if err != nil {
 		return fatal(err)
 	}
 	if err := conn.Commit(); err != nil {

@@ -114,7 +114,7 @@ func TestCheckpointRejectsIndoubt(t *testing.T) {
 	c := setupFileTable(t, db)
 	mustExec(t, c, `INSERT INTO f (name) VALUES ('xa')`)
 	txnID := c.TxnID()
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err == nil {

@@ -11,7 +11,7 @@ func TestPrepareCommitFlow(t *testing.T) {
 	db := testDB(t)
 	c := setupFileTable(t, db)
 	mustExec(t, c, `INSERT INTO f (name) VALUES ('a')`)
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
 	// Plain Commit/Rollback are rejected in the prepared state.
@@ -39,7 +39,7 @@ func TestPrepareRollbackFlow(t *testing.T) {
 	db := testDB(t)
 	c := setupFileTable(t, db)
 	mustExec(t, c, `INSERT INTO f (name) VALUES ('a')`)
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RollbackPrepared(); err != nil {
@@ -55,7 +55,7 @@ func TestPrepareRollbackFlow(t *testing.T) {
 func TestPrepareTxnErrors(t *testing.T) {
 	db := testDB(t)
 	c := db.Connect()
-	if err := c.PrepareTxn(); !errors.Is(err, ErrNoTxn) {
+	if err := c.PrepareTxn(""); !errors.Is(err, ErrNoTxn) {
 		t.Fatalf("prepare without txn: %v", err)
 	}
 	if err := c.CommitPrepared(); !errors.Is(err, ErrNoTxn) {
@@ -68,10 +68,10 @@ func TestPrepareTxnErrors(t *testing.T) {
 	if err := c.CommitPrepared(); err == nil {
 		t.Fatal("commit-prepared of unprepared txn succeeded")
 	}
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PrepareTxn(); err == nil {
+	if err := c.PrepareTxn(""); err == nil {
 		t.Fatal("double prepare succeeded")
 	}
 	if err := c.RollbackPrepared(); err != nil {
@@ -87,7 +87,7 @@ func TestPreparedTxnHoldsLocks(t *testing.T) {
 	db.SetStats("f", 1_000_000, map[string]int64{"name": 1_000_000})
 
 	mustExec(t, c1, `UPDATE f SET recid = 1 WHERE name = 'a'`)
-	if err := c1.PrepareTxn(); err != nil {
+	if err := c1.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
 	// The prepared transaction still holds its X lock.
@@ -110,7 +110,7 @@ func TestIndoubtSurvivesCrashAndCommits(t *testing.T) {
 	c := setupFileTable(t, db)
 	mustExec(t, c, `INSERT INTO f (name, recid) VALUES ('committed-later', 7)`)
 	txnID := c.TxnID()
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn("branch 42"); err != nil {
 		t.Fatal(err)
 	}
 	db.Close() // crash with a prepared transaction
@@ -120,6 +120,9 @@ func TestIndoubtSurvivesCrashAndCommits(t *testing.T) {
 	indoubt := db2.IndoubtTxns()
 	if len(indoubt) != 1 || indoubt[0] != txnID {
 		t.Fatalf("indoubt = %v, want [%d]", indoubt, txnID)
+	}
+	if got := db2.IndoubtBranch(txnID); got != "branch 42" {
+		t.Fatalf("IndoubtBranch = %q, want the name the prepare record carries", got)
 	}
 	// The prepared effects are present and locked.
 	cfgTimeout := db2.LockManager()
@@ -163,7 +166,7 @@ func TestIndoubtSurvivesCrashAndRollsBack(t *testing.T) {
 	mustExec(t, c, `UPDATE f SET recid = 5 WHERE name = 'keep'`)
 	mustExec(t, c, `INSERT INTO f (name) VALUES ('new')`)
 	txnID := c.TxnID()
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Crash(); err != nil {
@@ -186,6 +189,41 @@ func TestIndoubtSurvivesCrashAndRollsBack(t *testing.T) {
 	}
 }
 
+// A detached prepared transaction is indoubt exactly as if recovery had
+// restored it: named, still locked, settled by ResolveIndoubt — and the
+// connection is free for the next transaction.
+func TestDetachPreparedHandsOverToIndoubt(t *testing.T) {
+	db := testDB(t, func(c *Config) { c.LockTimeout = 50 * time.Millisecond })
+	c := setupFileTable(t, db)
+	db.SetStats("f", 1_000_000, map[string]int64{"name": 1_000_000})
+	mustExec(t, c, `INSERT INTO f (name) VALUES ('detached')`)
+	txnID := c.TxnID()
+	if err := c.DetachPrepared(); err == nil {
+		t.Fatal("detached an unprepared transaction")
+	}
+	if err := c.PrepareTxn("branch 7"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DetachPrepared(); err != nil {
+		t.Fatal(err)
+	}
+	if ids := db.IndoubtTxns(); len(ids) != 1 || ids[0] != txnID || db.IndoubtBranch(txnID) != "branch 7" {
+		t.Fatalf("indoubt = %v (branch %q), want [%d] named", ids, db.IndoubtBranch(txnID), txnID)
+	}
+	if _, err := c.Exec(`UPDATE f SET recid = 1 WHERE name = 'detached'`); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("detached row not locked: %v", err)
+	}
+	c.Rollback()
+	if err := db.ResolveIndoubt(txnID, false); err != nil {
+		t.Fatal(err)
+	}
+	n, _, _ := c.QueryInt(`SELECT COUNT(*) FROM f`)
+	mustCommit(t, c)
+	if n != 0 {
+		t.Fatalf("count = %d after the detached branch rolled back", n)
+	}
+}
+
 func TestTxnOutcome(t *testing.T) {
 	db := testDB(t)
 	c := setupFileTable(t, db)
@@ -199,7 +237,7 @@ func TestTxnOutcome(t *testing.T) {
 
 	mustExec(t, c, `INSERT INTO f (name) VALUES ('c')`)
 	pending := c.TxnID()
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
 

@@ -308,7 +308,7 @@ func TestStorageIndoubtSurvivesCrash(t *testing.T) {
 	c := setupFileTable(t, db) // DDL autocommits
 
 	mustExec(t, c, `INSERT INTO f (name, recid) VALUES ('indoubt', 1)`)
-	if err := c.PrepareTxn(); err != nil {
+	if err := c.PrepareTxn(""); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Crash(); err != nil {

@@ -17,8 +17,11 @@ import (
 
 // PrepareTxn hardens the connection's transaction without committing it:
 // the prepare record is forced to the log and every lock is retained. After
-// PrepareTxn only CommitPrepared or RollbackPrepared are valid.
-func (c *Conn) PrepareTxn() error {
+// PrepareTxn only CommitPrepared, RollbackPrepared or DetachPrepared are
+// valid. branch is the preparer's name for the transaction, kept in the
+// prepare record so that whoever resolves it after a crash (IndoubtBranch)
+// knows what it belongs to.
+func (c *Conn) PrepareTxn(branch string) error {
 	if c.txn == nil {
 		return ErrNoTxn
 	}
@@ -32,7 +35,7 @@ func (c *Conn) PrepareTxn() error {
 	if err := fpTxnPrepare.Fire(); err != nil {
 		return err
 	}
-	if _, err := c.db.log.Append(wal.Record{Txn: t.id, Type: wal.RecPrepare}); err != nil {
+	if _, err := c.db.log.Append(wal.Record{Txn: t.id, Type: wal.RecPrepare, Table: branch}); err != nil {
 		return err
 	}
 	fsync := c.db.tracer.StartSpan(c.span, "engine", "wal_fsync")
@@ -41,7 +44,21 @@ func (c *Conn) PrepareTxn() error {
 	if err != nil {
 		return err
 	}
-	t.prepared = true
+	t.prepared, t.branch = true, branch
+	return nil
+}
+
+// DetachPrepared hands the connection's prepared transaction over to the
+// database's indoubt set, exactly as crash recovery would have restored it,
+// and frees the connection: ResolveIndoubt settles it later.
+func (c *Conn) DetachPrepared() error {
+	if c.txn == nil || !c.txn.prepared {
+		return fmt.Errorf("engine: no prepared transaction to detach")
+	}
+	c.db.latch.Lock()
+	c.db.indoubt[c.txn.id] = c.txn
+	c.db.latch.Unlock()
+	c.txn = nil
 	return nil
 }
 
@@ -115,8 +132,19 @@ func (db *DB) IndoubtTxns() []int64 {
 	return out
 }
 
-// ResolveIndoubt commits or rolls back a transaction that crash recovery
-// restored in the prepared state.
+// IndoubtBranch returns the branch name an indoubt transaction was
+// prepared under ("" if it is not indoubt or was prepared unnamed).
+func (db *DB) IndoubtBranch(txnID int64) string {
+	db.latch.Lock()
+	defer db.latch.Unlock()
+	if t := db.indoubt[txnID]; t != nil {
+		return t.branch
+	}
+	return ""
+}
+
+// ResolveIndoubt commits or rolls back an indoubt transaction: one crash
+// recovery restored in the prepared state, or one a connection detached.
 func (db *DB) ResolveIndoubt(txnID int64, commit bool) error {
 	db.latch.Lock()
 	t := db.indoubt[txnID]
@@ -129,6 +157,13 @@ func (db *DB) ResolveIndoubt(txnID int64, commit bool) error {
 	if commit {
 		if _, err := db.log.Append(wal.Record{Txn: t.id, Type: wal.RecCommit}); err != nil {
 			return err
+		}
+		// Whoever resolves a branch may next drop the record its outcome
+		// came from, so the commit must not be lost to another crash.
+		if db.cfg.SyncCommit {
+			if err := db.log.SyncBatched(); err != nil {
+				return err
+			}
 		}
 		db.lm.ReleaseAll(t.id)
 		db.commits.Add(1)
@@ -160,6 +195,9 @@ func (db *DB) restoreIndoubtLocked(txnID int64, recs []wal.Record) {
 			t.undo = append(t.undo, undoOp{typ: wal.RecDelete, table: r.Table, rid: r.RID, before: r.Before})
 		case wal.RecUpdate:
 			t.undo = append(t.undo, undoOp{typ: wal.RecUpdate, table: r.Table, rid: r.RID, before: r.Before, after: r.After})
+		case wal.RecPrepare:
+			t.branch = r.Table
+			continue
 		default:
 			continue
 		}

@@ -34,6 +34,7 @@ type txn struct {
 	aborted  bool
 	prepared bool
 	wrote    bool
+	branch   string // a prepared transaction's name (see PrepareTxn)
 	// firstLSN is set for indoubt transactions restored by recovery: the
 	// reopened log no longer tracks them, so the fuzzy checkpoint must
 	// floor its StartLSN here itself.

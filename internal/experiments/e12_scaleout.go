@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/hostdb"
 	"repro/internal/workload"
 )
@@ -16,12 +15,14 @@ import (
 // in-process WAL syncs in microseconds (tmpfs), which hides the resource
 // the experiment divides: the paper's DLFMs are separate machines, each
 // with its own log disk, and link throughput is bounded by how fast the
-// owning member can harden prepare and commit records. The delay fires
-// inside the log mutex, so commits on one member serialize behind it —
-// exactly the per-device bottleneck scale-out is supposed to divide. It is
-// sized like a real disk fsync (a few ms) rather than symbolically: the
-// whole deployment shares one machine's CPU, so the divisible (sleeping)
+// owning member can harden its commit records. The delay runs inside the
+// log mutex, so commits on one member serialize behind it — exactly the
+// per-device bottleneck scale-out is supposed to divide. It is sized like
+// a real disk fsync (a few ms) rather than symbolically: the whole
+// deployment shares one machine's CPU, so the divisible (sleeping)
 // fraction must dominate the CPU fraction for the scaling shape to show.
+// Only the members' logs get it: the host hardens its branch before each
+// one-phase commit, and its log is not the resource under test.
 const e12FsyncDelay = 6 * time.Millisecond
 
 // e12Mix is insert-only: the measured rate is the paper's headline
@@ -175,8 +176,9 @@ func e12Measure(n, clients int, dur time.Duration, seed int64) (workload.Result,
 	}
 	// The slow log device applies to the measured run only — preload and
 	// the join-time slot migrations above run at full speed.
-	fault.Default().Arm("wal.append.fsync", fault.Action{Delay: e12FsyncDelay})
-	defer fault.Default().Disarm("wal.append.fsync")
+	for _, d := range st.DLFMs {
+		d.DB().WAL().SetSyncDelay(e12FsyncDelay)
+	}
 	return r.Run()
 }
 

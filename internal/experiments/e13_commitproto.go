@@ -25,11 +25,14 @@ import (
 // Part one sweeps protocol x coordinator-fault-rate under the chaos
 // workload and counts wedged transactions: prepared DLFM entries still
 // unresolved after a self-resolution grace window in which the host never
-// runs indoubt resolution. Classic 2PC wedges (nonzero); Paxos Commit
+// runs indoubt resolution. Only a transaction spanning two DLFMs prepares
+// (one DLFM commits in one phase), so the workload runs update-heavy over a
+// two-member cluster, where an update's old and new file land on different
+// members half the time. Classic 2PC wedges (nonzero); Paxos Commit
 // participants learn the outcome from the acceptors and release their
 // locks (zero). Part two measures the no-fault p99 commit latency of the
-// fast paths — read-only voting and single-participant one-phase commit —
-// against the classic protocol.
+// fast paths — single-participant one-phase commit and read-only voting —
+// against the full protocols.
 
 // E13Report carries both sweeps.
 type E13Report struct {
@@ -97,7 +100,7 @@ func RunE13CommitProto(o Options) (*E13Report, error) {
 		return rep, fmt.Errorf("e13: no 2PC leg wedged a transaction; the coordinator-crash fault never bit (seed %d)", seed)
 	}
 
-	for _, shape := range []string{"2pc solo", "1pc solo", "2pc rw+ro", "ro-vote rw+ro", "2pc two writers", "paxos two writers"} {
+	for _, shape := range []string{"1pc solo", "ro-vote rw+ro", "2pc two writers", "paxos two writers"} {
 		row, err := e13FastLeg(shape, o.ops())
 		if err != nil {
 			return nil, fmt.Errorf("e13: fast path %q: %w", shape, err)
@@ -114,6 +117,7 @@ func e13ChaosLeg(proto string, rate float64, seed int64, dur time.Duration, clie
 	row := E13ChaosRow{Protocol: proto, FaultRate: rate}
 	cfg := workload.StackConfig{
 		Servers: []string{"fs1", "fs2"},
+		Cluster: true,
 		MutateHost: func(h *hostdb.Config) {
 			h.DB.LockTimeout = 2 * time.Second
 			if proto == "paxos" {
@@ -153,6 +157,7 @@ func e13ChaosLeg(proto string, rate float64, seed int64, dur time.Duration, clie
 		Seed:         seed,
 		PreloadRows:  50,
 		TablePrefix:  "cp",
+		Mix:          workload.Mix{InsertPct: 20, UpdatePct: 70, DeletePct: 5},
 		KillInterval: 24 * time.Hour,
 		DropInterval: 24 * time.Hour,
 		SkipDrain:    true,
@@ -211,16 +216,12 @@ func e13FastLeg(shape string, ops int) (E13FastRow, error) {
 		Servers: servers,
 		MutateHost: func(h *hostdb.Config) {
 			h.DB.LockTimeout = 10 * time.Second
-			switch {
-			case strings.HasPrefix(shape, "1pc"):
-				h.OnePhase = true
-			case strings.HasPrefix(shape, "paxos"):
+			if strings.HasPrefix(shape, "paxos") {
 				h.CommitProtocol = "paxos"
 			}
 		},
 		MutateDLFM: func(_ string, c *core.Config) {
 			c.DB.LockTimeout = 10 * time.Second
-			c.ReadOnlyVote = strings.HasPrefix(shape, "ro-vote")
 		},
 	}
 	if strings.HasPrefix(shape, "paxos") {
@@ -272,8 +273,8 @@ func e13FastLeg(shape string, ops int) (E13FastRow, error) {
 		}
 		if strings.Contains(shape, "rw+ro") {
 			// The second DLFM joins the transaction without writing: the
-			// shape every SELECT-touching-two-systems commit has. With
-			// read-only voting it costs one prepare and no phase 2.
+			// shape every SELECT-touching-two-systems commit has. Its
+			// read-only vote costs one prepare and no phase 2.
 			if err := s.Enlist("fs2"); err != nil {
 				return row, err
 			}

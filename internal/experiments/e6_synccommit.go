@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hostdb"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // E6Report reproduces Section 4's distributed-deadlock analysis, the
@@ -26,6 +27,9 @@ import (
 //
 // With the SYNCHRONOUS commit API T11 cannot start until T1's commit
 // processing finished, so the cycle never forms.
+//
+// T1 also links a file on a second DLFM: a transaction with one DLFM
+// commits in one phase, with no phase 2 to run asynchronously.
 type E6Report struct {
 	Rows []E6Row
 }
@@ -62,12 +66,16 @@ func runE6Once(sync bool) (E6Row, error) {
 		dlfmTimeout = 250 * time.Millisecond
 		hostTimeout = 500 * time.Millisecond
 	)
-	st, err := newStack(func(h *hostdb.Config) {
-		h.SyncCommit = sync
-		h.DB.LockTimeout = hostTimeout
-	}, func(c *core.Config) {
-		c.DB.LockTimeout = dlfmTimeout
-		c.Phase2Delay = commitWork
+	st, err := workload.NewStack(workload.StackConfig{
+		Servers: []string{"fs1", "fs2"},
+		MutateHost: func(h *hostdb.Config) {
+			h.SyncCommit = sync
+			h.DB.LockTimeout = hostTimeout
+		},
+		MutateDLFM: func(_ string, c *core.Config) {
+			c.DB.LockTimeout = dlfmTimeout
+			c.Phase2Delay = commitWork
+		},
 	})
 	if err != nil {
 		return E6Row{}, err
@@ -75,8 +83,8 @@ func runE6Once(sync bool) (E6Row, error) {
 	defer st.Close()
 
 	if err := st.Host.CreateTable(
-		`CREATE TABLE e6 (id BIGINT NOT NULL, doc VARCHAR)`,
-		hostdb.DatalinkCol{Name: "doc"},
+		`CREATE TABLE e6 (id BIGINT NOT NULL, doc VARCHAR, doc2 VARCHAR)`,
+		hostdb.DatalinkCol{Name: "doc"}, hostdb.DatalinkCol{Name: "doc2"},
 	); err != nil {
 		return E6Row{}, err
 	}
@@ -91,6 +99,9 @@ func runE6Once(sync bool) (E6Row, error) {
 		if err := fs.Create(p, "app", []byte("x")); err != nil {
 			return E6Row{}, err
 		}
+	}
+	if err := st.FS["fs2"].Create("/g1", "app", []byte("x")); err != nil {
+		return E6Row{}, err
 	}
 	// Host record x (id 100) exists up front.
 	admin := st.Host.Session()
@@ -107,9 +118,9 @@ func runE6Once(sync bool) (E6Row, error) {
 	defer sessA.Close()
 	defer sessB.Close()
 
-	// T1 links /f1.
-	if _, err := sessA.Exec(`INSERT INTO e6 (id, doc) VALUES (1, ?)`,
-		value.Str(hostdb.URL("fs1", "/f1"))); err != nil {
+	// T1 links /f1, and /g1 on fs2.
+	if _, err := sessA.Exec(`INSERT INTO e6 (id, doc, doc2) VALUES (1, ?, ?)`,
+		value.Str(hostdb.URL("fs1", "/f1")), value.Str(hostdb.URL("fs2", "/g1"))); err != nil {
 		return E6Row{}, err
 	}
 

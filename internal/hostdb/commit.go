@@ -36,8 +36,9 @@ const (
 	// atAcceptors (Paxos Commit): chosen by a quorum of the 2F+1
 	// registered acceptors. Authority: a learner over the acceptors.
 	atAcceptors
-	// atParticipant (one-phase): the sole DLFM's own commit. Authority: a
-	// QueryOutcome to that DLFM.
+	// atParticipant (one-phase): the sole DLFM's own commit, the default
+	// whenever one DLFM takes part. Authority: a QueryOutcome to that DLFM,
+	// which keeps the outcome until the host forgets it.
 	atParticipant
 	// atTM (XA): the external transaction manager, later; the host
 	// hardens its branch with a dl_xa row. Authority: dl_xa → the branch's
@@ -57,12 +58,19 @@ var fpBetweenPhases = fault.P("hostdb.commit.between_phases")
 // phase-2 message (participants must learn the commit from the acceptors).
 var fpLeaderCrash = fault.P("hostdb.paxos.leader_crash")
 
+// fpOnePhaseCrash simulates the host dying inside a one-phase commit with
+// its branch prepared: detail "pre" before the request leaves, "post" after
+// the DLFM committed. The session then does what a dead process does —
+// nothing: its DLFM connections drop and its branch is left prepared for
+// ResolveIndoubts (after a restart, or in this process).
+var fpOnePhaseCrash = fault.P("hostdb.onephase.crash")
+
 // decisionPointFor resolves the commit protocol for a transaction with n
 // enlisted DLFMs — the one place it is resolved. Indoubt resolution, which
 // knows no participant count, passes 0.
 func (db *DB) decisionPointFor(n int) decisionPoint {
 	switch {
-	case n == 1 && db.cfg.OnePhase:
+	case n == 1:
 		return atParticipant
 	case db.cfg.CommitProtocol == "paxos" && len(db.acceptorCallers()) > 0:
 		return atAcceptors
@@ -84,8 +92,8 @@ type commitRun struct {
 }
 
 // hint is the resolution hint for a run whose end could not be settled
-// inline. It names a participant only where that participant is the
-// authority.
+// inline, and what its host branch is named for a restart to resolve. It
+// names a participant only where that participant is the authority.
 func (r *commitRun) hint() parkedTxn {
 	h := parkedTxn{txn: r.txn, dp: r.dp}
 	if r.dp == atParticipant {
@@ -229,7 +237,7 @@ func (s *Session) decide(r *commitRun) (string, error) {
 		if _, err := s.conn.ExecStmt(insOutcome, value.Int(r.txn)); err != nil {
 			return "", err
 		}
-		if err := s.conn.PrepareTxn(); err != nil {
+		if err := s.conn.PrepareTxn(r.hint().branch()); err != nil {
 			return "", fmt.Errorf("host prepare: %v", err)
 		}
 		if r.crash = fpLeaderCrash.FireDetail("pre"); r.crash != nil {
@@ -257,19 +265,25 @@ func (s *Session) decide(r *commitRun) (string, error) {
 
 	case atParticipant:
 		// Harden the host branch first so it can follow the participant
-		// either way; a host side that only read has nothing to harden.
+		// either way — its name says where the decision is, for a restart;
+		// a host side that only read has nothing to harden.
 		if s.conn.InTxn() {
-			if err := s.conn.PrepareTxn(); err != nil {
+			if err := s.conn.PrepareTxn(r.hint().branch()); err != nil {
 				return "", fmt.Errorf("host prepare: %v", err)
 			}
 		}
 		p := r.writers[0]
 		r.writers = nil // the participant applies its own decision
+		if r.crash = fpOnePhaseCrash.FireDetail("pre"); r.crash != nil {
+			return "wait", nil
+		}
 		sp := s.db.tracer.StartSpan(r.p1.Ctx(), "host", "rpc:OnePhaseCommit").Attr("server", p.server)
 		resp, err := p.client.CallCtx(sp.Ctx(), rpc.OnePhaseCommitReq{Txn: r.txn})
 		sp.End()
 		if err == nil {
+			s.db.noteDLFMSuccess(p.server)
 			if resp.OK() {
+				r.crash = fpOnePhaseCrash.FireDetail("post")
 				return "commit", nil
 			}
 			r.cause = fmt.Errorf("refused at %s: %s: %s", p.server, resp.Code, resp.Msg)
@@ -293,7 +307,7 @@ func (s *Session) decide(r *commitRun) (string, error) {
 	if _, err := s.conn.ExecStmt(insXA, value.Int(r.txn), value.Int(s.conn.TxnID())); err != nil {
 		return "", err
 	}
-	if err := s.conn.PrepareTxn(); err != nil {
+	if err := s.conn.PrepareTxn(r.hint().branch()); err != nil {
 		return "", fmt.Errorf("host prepare: %v", err)
 	}
 	return "wait", nil
@@ -316,11 +330,25 @@ func (s *Session) recoverOutcome(r *commitRun, cause error) (string, error) {
 
 // finish carries a run from its outcome to the end of the transaction.
 func (s *Session) finish(r *commitRun, outcome string) error {
+	if r.dp == atParticipant && (outcome == "wait" || r.crash != nil) {
+		// The decision is the DLFM's and cannot be read now (or the
+		// coordinator died): rolling the host branch back could contradict
+		// a commit there, so the engine keeps the branch indoubt, as a
+		// restart would find it, for ResolveIndoubts.
+		if s.conn.InTxn() {
+			s.conn.DetachPrepared() //nolint:errcheck // InTxn here means prepared
+		}
+		s.abandonParts()
+		s.finishTxn()
+		if r.crash != nil {
+			r.cause = r.crash
+		}
+		return fmt.Errorf("%w: txn %d: %w; its branch is left to indoubt resolution", ErrOutcomeUnknown, r.txn, r.cause)
+	}
 	if outcome != "commit" {
-		// "wait" is unknowable right now: the transaction is parked for
-		// resolution and the host branch heuristically rolled back so the
-		// session stays usable — the classic heuristic hazard, accepted
-		// because the alternative wedges the session on an indoubt branch.
+		// "wait" (an outcome the acceptors could not give) is unknowable
+		// right now: the transaction is parked for resolution and the host
+		// branch heuristically rolled back — the classic heuristic hazard.
 		if outcome == "wait" {
 			s.db.parkIndoubt(r.hint())
 		}

@@ -52,11 +52,6 @@ type Config struct {
 	// registered acceptors (Gray & Lamport's Paxos Commit), so any
 	// participant can learn the outcome without the coordinator.
 	CommitProtocol string
-	// OnePhase enables the single-participant fast path: a transaction
-	// that touched exactly one DLFM skips prepare entirely and delegates
-	// the commit decision to that participant (one network round trip and
-	// one forced log write instead of two of each).
-	OnePhase bool
 	// TokenSecret signs access tokens for full-access-control files; it is
 	// shared with the DLFF on each file server. Empty disables tokens.
 	TokenSecret []byte

@@ -2,6 +2,7 @@ package hostdb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,14 +14,16 @@ import (
 
 // Indoubt resolution (Section 3.3): every unsettled transaction is settled
 // by asking its decision point's authority (DB.outcome) and delivering the
-// answer. Two sources feed it. The parked-indoubt list holds cheap
+// answer. Three sources feed it. The parked-indoubt list holds cheap
 // in-memory hints for transactions the commit pipeline could not settle
 // inline — a phase-2 answer that never came, a one-phase reply lost, an
-// outcome that could not be learned. The sweep polls every DLFM for its
-// prepared transactions. The list is bounded: losing a hint loses nothing
-// durable — the decision is still where its decision point stored it, and
-// the sweep finds it — so overflow drops the oldest entry and counts it on
-// host_indoubt_dropped_total.
+// outcome that could not be learned. The host's own branches left prepared
+// by a crash name their decision point in their prepare record. The sweep
+// polls every DLFM for its prepared transactions, and for the outcomes it
+// keeps whose connection ended before forgetting them. The list is bounded:
+// losing a hint loses nothing durable — the decision is still where its
+// decision point stored it, and the sweep finds it — so overflow drops the
+// oldest entry and counts it on host_indoubt_dropped_total.
 
 // indoubtCap bounds the parked-indoubt list.
 const indoubtCap = 1024
@@ -30,6 +33,19 @@ type parkedTxn struct {
 	txn    int64
 	server string // the participant to drive; "" when none needs a directed retry
 	dp     decisionPoint
+}
+
+// branch is the name a host branch is prepared under: the hint a restart
+// needs to resolve it (parseBranch reads it back).
+func (h parkedTxn) branch() string { return fmt.Sprintf("%d %d %s", h.dp, h.txn, h.server) }
+
+// parseBranch reads a branch name back; ok is false for a branch the host
+// did not name.
+func parseBranch(name string) (h parkedTxn, ok bool) {
+	var dp int
+	n, _ := fmt.Sscan(name, &dp, &h.txn, &h.server)
+	h.dp = decisionPoint(dp)
+	return h, n >= 2
 }
 
 // parkIndoubt appends a hint, dropping the oldest beyond the cap.
@@ -151,9 +167,9 @@ func (db *DB) resolveParked() int {
 // queryOutcome1PC resolves a one-phase commit whose reply was lost by
 // asking the participant's durable transaction state, with capped backoff
 // between attempts. "committed" maps to commit; "none" means the
-// participant's transaction died with the connection before deciding, so
-// it can never commit — abort. "prepared"/"inflight" mean the original
-// request may still be executing: wait and ask again.
+// participant never committed and now never will (QueryOutcome recorded
+// the abort) — abort. "prepared" and "inflight" mean the original request
+// may still be executing: wait and ask again.
 func (db *DB) queryOutcome1PC(server string, txn int64) (string, error) {
 	bo := fault.Backoff{Base: 5 * time.Millisecond, Cap: 100 * time.Millisecond}
 	var err error
@@ -178,14 +194,17 @@ func (db *DB) queryOutcome1PC(server string, txn int64) (string, error) {
 	return "", err
 }
 
-// ResolveIndoubts settles what the host can: parked hints first, then
-// every registered DLFM's prepared-but-unresolved transactions, each by
-// its decision point's authority. It returns how many transactions it
-// resolved; an outcome that cannot be read now is left for a later pass,
-// so the error is always nil. The paper's host runs this at restart and
-// from a polling daemon while a DLFM is unreachable (Section 3.3).
+// ResolveIndoubts settles what the host can: parked hints first, then the
+// host's own prepared branches, then every registered DLFM's prepared-but-
+// unresolved transactions, each by its decision point's authority; last it
+// forgets the one-phase outcomes DLFMs keep for transactions the host is
+// done with. It returns how many transactions it resolved; an outcome that
+// cannot be read now is left for a later pass, so the error is always nil.
+// The paper's host runs this at restart and from a polling daemon while a
+// DLFM is unreachable (Section 3.3).
 func (db *DB) ResolveIndoubts() (int, error) {
 	parked := db.resolveParked()
+	branches := db.resolveBranches()
 	// One goroutine per DLFM, bounded by the commit fan-out limit: a
 	// server that is down (dial timing out) must not delay resolution on
 	// the healthy ones.
@@ -204,11 +223,39 @@ func (db *DB) ResolveIndoubts() (int, error) {
 		}(server)
 	}
 	wg.Wait()
-	return parked + int(total.Load()), nil
+	return parked + branches + int(total.Load()), nil
+}
+
+// resolveBranches settles the host's own branches a crash left prepared —
+// or a coordinator that died in its commit handed to the engine — by the
+// authority their names point at, and reports how many it settled.
+func (db *DB) resolveBranches() int {
+	resolved := 0
+	for id, h := range db.preparedBranches() {
+		out, err := db.outcome(h.dp, h.txn, h.server)
+		if err == nil && out != "wait" && db.eng.ResolveIndoubt(id, out == "commit") == nil {
+			resolved++
+		}
+	}
+	return resolved
+}
+
+// preparedBranches maps each engine transaction the host left prepared
+// without a session to the hint its name carries.
+func (db *DB) preparedBranches() map[int64]parkedTxn {
+	out := make(map[int64]parkedTxn)
+	for _, id := range db.eng.IndoubtTxns() {
+		if h, ok := parseBranch(db.eng.IndoubtBranch(id)); ok {
+			out[id] = h
+		}
+	}
+	return out
 }
 
 // resolveServerIndoubts settles one DLFM's prepared-but-unresolved
-// transactions and reports how many it resolved.
+// transactions and forgets the one-phase outcomes it keeps that neither a
+// live session nor a prepared host branch still needs. It reports how many
+// transactions it resolved.
 func (db *DB) resolveServerIndoubts(server string) int {
 	dial, err := db.dialer(server)
 	if err != nil {
@@ -250,12 +297,38 @@ func (db *DB) resolveServerIndoubts(server string) int {
 			db.stats.IndoubtsResolved.Add(1)
 		}
 	}
+	// A connection's next one-phase commit, or the Forget a closing session
+	// sends, deletes the outcome it committed; these are the outcomes whose
+	// connection ended first — a lost reply, a crash — and recorded aborts.
+	resp, err = client.Call(rpc.ListIndoubtReq{Kept: true})
+	if err != nil || !resp.OK() {
+		return resolved
+	}
+	var done []int64
+	for _, txn := range resp.Txns {
+		if !db.txnActive(txn) {
+			done = append(done, txn)
+		}
+	}
+	// Read after the activity checks: a session hands its branch to the
+	// engine before it stops being active, so none slips between the two.
+	needed := make(map[int64]bool)
+	for _, h := range db.preparedBranches() {
+		needed[h.txn] = true
+	}
+	done = slices.DeleteFunc(done, func(txn int64) bool { return needed[txn] })
+	if len(done) > 0 {
+		client.Call(rpc.ForgetReq{Txns: done}) //nolint:errcheck // the next pass retries
+	}
 	return resolved
 }
 
 // StartIndoubtDaemon polls ResolveIndoubts on an interval until the
 // returned stop function is called — the paper's dedicated indoubt-
-// resolution daemon.
+// resolution daemon. A deployment runs it (or calls ResolveIndoubts at
+// restart and periodically): the host branches a one-phase commit left to
+// resolution hold their row locks, and the outcomes DLFMs keep for
+// connections that ended early take a row each, until a pass settles them.
 func (db *DB) StartIndoubtDaemon(interval time.Duration) (stop func()) {
 	quit := make(chan struct{})
 	done := make(chan struct{})

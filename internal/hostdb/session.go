@@ -27,6 +27,12 @@ var (
 	// settle through indoubt resolution (2PC) or their own outcome
 	// learners (Paxos); callers must treat the transaction as committed.
 	ErrCommitUnacked = errors.New("hostdb: committed but not acknowledged")
+	// ErrOutcomeUnknown: the DLFM a one-phase commit delegated the decision
+	// to could not be reached after the request was sent, so the
+	// transaction may have committed or not. The host branch stays
+	// prepared, its locks held, exactly as a host crash would leave it,
+	// until ResolveIndoubts learns the outcome from the DLFM, which keeps it.
+	ErrOutcomeUnknown = errors.New("hostdb: commit outcome unknown")
 )
 
 // participant is one DLFM enlisted in the current transaction.
@@ -76,12 +82,17 @@ func (db *DB) Session() *Session {
 // TxnID exposes the current host transaction id (0 when idle).
 func (s *Session) TxnID() int64 { return s.txn }
 
-// Close abandons any open transaction and disconnects from the DLFMs.
+// Close abandons any open transaction and disconnects from the DLFMs. A
+// DLFM keeps the outcome of the last one-phase commit on each connection
+// until a later request there forgets it, so each connection's last
+// request is a Forget; one that fails leaves the outcome to the indoubt
+// sweep.
 func (s *Session) Close() {
 	if s.txn != 0 {
 		s.Rollback()
 	}
 	for _, p := range s.parts {
+		p.client.Call(rpc.ForgetReq{}) //nolint:errcheck // best effort
 		p.client.Close()
 	}
 	s.parts = nil
@@ -111,7 +122,9 @@ func (s *Session) begin() error {
 }
 
 // part returns (dialing if necessary) the participant for server and
-// enlists it in the current transaction.
+// enlists it in the current transaction. The first request sent there
+// begins the DLFM sub-transaction; only a batched one needs an explicit
+// BeginTransaction to carry its batch size.
 func (s *Session) part(server string) (*participant, error) {
 	p := s.parts[server]
 	if p == nil {
@@ -128,12 +141,8 @@ func (s *Session) part(server string) (*participant, error) {
 		p = &participant{server: server, client: client}
 		s.parts[server] = p
 	}
-	if !p.begun {
-		req := rpc.BeginTxnReq{Txn: s.txn}
-		if s.batched {
-			req.Batched, req.BatchN = true, s.db.cfg.LoadBatchN
-		}
-		resp, err := p.client.Call(req)
+	if !p.begun && s.batched {
+		resp, err := p.client.Call(rpc.BeginTxnReq{Txn: s.txn, Batched: true, BatchN: s.db.cfg.LoadBatchN})
 		if err != nil {
 			s.db.noteDLFMFailure(server, err)
 			s.dropPart(server)
@@ -142,9 +151,9 @@ func (s *Session) part(server string) (*participant, error) {
 		if !resp.OK() {
 			return nil, fmt.Errorf("hostdb: BeginTransaction at %s: %s", server, resp.Msg)
 		}
-		p.begun = true
 		s.db.noteDLFMSuccess(server)
 	}
+	p.begun = true
 	return p, nil
 }
 
@@ -669,10 +678,9 @@ func (s *Session) Query(text string, params ...value.Value) ([]value.Row, error)
 }
 
 // Enlist joins server to the current transaction without performing any
-// file operation there. The participant will cast a read-only vote at
-// prepare (if the DLFM has the fast path enabled) unless later statements
-// write through it; benchmarks and tests use Enlist to shape
-// multi-participant transactions.
+// file operation there. The participant casts a read-only vote at prepare
+// unless later statements write through it; benchmarks and tests use
+// Enlist to shape multi-participant transactions.
 func (s *Session) Enlist(server string) error {
 	if s.dead {
 		return fmt.Errorf("%w: acknowledge with Rollback", ErrTxnRolledBack)

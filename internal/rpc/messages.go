@@ -23,7 +23,8 @@ import (
 // BeginTxnReq starts a DLFM sub-transaction in the host transaction's
 // context. Batched marks a long-running utility transaction that DLFM
 // should locally commit every BatchN operations (Section 4's log-full
-// lesson).
+// lesson). An ordinary transaction needs no BeginTxnReq: the agent adopts
+// the transaction id of the first request that carries one.
 type BeginTxnReq struct {
 	Txn     int64
 	Batched bool
@@ -82,8 +83,15 @@ type DeleteGroupReq struct {
 type IsLinkedReq struct{ Name string }
 
 // ListIndoubtReq asks for transactions prepared but not yet resolved; the
-// host's indoubt-resolution daemon polls with it after a failure.
-type ListIndoubtReq struct{}
+// host's indoubt-resolution daemon polls with it after a failure. With Kept
+// it lists instead the outcomes the DLFM keeps until the host forgets them
+// (see OnePhaseCommitReq and QueryOutcomeReq).
+type ListIndoubtReq struct{ Kept bool }
+
+// ForgetReq deletes kept outcomes the host no longer needs: those in Txns
+// (the sweep, for outcomes whose connection ended first) and the one the
+// connection itself last committed in one phase (a closing session).
+type ForgetReq struct{ Txns []int64 }
 
 // WaitArchiveReq is issued by the host Backup utility: all pending archive
 // copies with recovery id <= RecID are promoted to high priority, and the
@@ -147,20 +155,24 @@ type MigrateDelReq struct {
 	Names []string
 }
 
-// OnePhaseCommitReq is the single-participant one-phase-commit fast path:
-// the sole enlisted DLFM is made the commit decider. It hardens its
-// transaction entry directly in committed ('C') state and performs the
-// phase-2 work in the same local transaction — one fsync and one RPC where
-// classic 2PC needs two of each. Deliberately NOT idempotent: a re-issue
-// on a fresh connection cannot be told apart from a no-op transaction
-// (the original agent's uncommitted work died with it), so the host
-// resolves a lost reply with QueryOutcomeReq instead of re-sending.
+// OnePhaseCommitReq is the one-phase commit of a transaction with a single
+// DLFM: that DLFM decides. It hardens its transaction entry directly as a
+// kept one-phase outcome ('O') and performs the phase-2 work in the same
+// local transaction — one fsync and one RPC where classic 2PC needs two of
+// each. The entry stays until the host forgets it: the next OnePhaseCommitReq
+// or ForgetReq on the same connection deletes it inside its own local
+// commit, since the host sends one only after the reply arrived and its own
+// branch landed. Deliberately NOT idempotent: a re-issue on a fresh
+// connection cannot be told apart from a no-op transaction (the original
+// agent's uncommitted work died with it), so the host resolves a lost reply
+// with QueryOutcomeReq instead of re-sending.
 type OnePhaseCommitReq struct{ Txn int64 }
 
 // QueryOutcomeReq asks a DLFM for the durable outcome of a transaction it
 // decided (one-phase commit) or participated in. The reply's Msg is
-// "committed", "prepared", or "none" (no trace — the transaction aborted or
-// its committed tombstone was already garbage-collected).
+// "committed", "prepared", "inflight" or "none". "none" is made a fact
+// before it is answered: the DLFM records the transaction as aborted, so a
+// OnePhaseCommitReq still on its way is refused.
 type QueryOutcomeReq struct{ Txn int64 }
 
 // PaxosPromiseReq is phase 1a of one Paxos Commit instance (Gray &
@@ -359,8 +371,9 @@ func init() {
 		txnOf: func(r any) int64 { return r.(MigrateDelReq).Txn }})
 	register(OnePhaseCommitReq{}, msgInfo{name: "OnePhaseCommit",
 		txnOf: func(r any) int64 { return r.(OnePhaseCommitReq).Txn }})
-	register(QueryOutcomeReq{}, msgInfo{name: "QueryOutcome", readOnly: true, idempotent: true,
+	register(QueryOutcomeReq{}, msgInfo{name: "QueryOutcome", idempotent: true,
 		txnOf: func(r any) int64 { return r.(QueryOutcomeReq).Txn }})
+	register(ForgetReq{}, msgInfo{name: "Forget", idempotent: true})
 	register(PaxosPromiseReq{}, msgInfo{name: "PaxosPromise", idempotent: true,
 		txnOf: func(r any) int64 { return r.(PaxosPromiseReq).Txn }})
 	register(PaxosAcceptReq{}, msgInfo{name: "PaxosAccept", idempotent: true,

@@ -22,7 +22,7 @@ func TestRegistryCoversEveryRequestType(t *testing.T) {
 		IsLinkedReq{}, ListIndoubtReq{}, WaitArchiveReq{}, RegisterBackupReq{},
 		RestoreToReq{}, ReconcileReq{}, PingReq{}, StatsReq{}, ReplFetchReq{},
 		MigrateManifestReq{}, FetchFileReq{}, MigratePutReq{}, MigrateDelReq{},
-		OnePhaseCommitReq{}, QueryOutcomeReq{}, PaxosPromiseReq{},
+		OnePhaseCommitReq{}, QueryOutcomeReq{}, ForgetReq{}, PaxosPromiseReq{},
 		PaxosAcceptReq{}, PaxosReadReq{}, PaxosForgetReq{},
 	}
 	for _, req := range known {

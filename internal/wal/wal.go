@@ -54,7 +54,8 @@ const (
 	RecPrepare
 	RecCheckpoint
 	// DDL records carry the statement text in the Table field; DDL is
-	// autocommitted, so recovery replays these unconditionally.
+	// autocommitted, so recovery replays these unconditionally. A
+	// RecPrepare carries the prepared branch's name there.
 	RecCreateTable
 	RecCreateIndex
 	RecDropTable

@@ -23,20 +23,29 @@ func commitCounters(st *Stack) commitDelta {
 	return commitDelta{s.Commits, s.Aborts, s.OnePhaseCommits, s.ReadOnlyVotes, s.PaxosCommits}
 }
 
+// shapeFault is one fault point a commit shape arms around its commit. A
+// matched point fires once unless repeat is set.
+type shapeFault struct {
+	point, match string
+	act          fault.Action
+	repeat       bool
+}
+
 // commitShape is one row of the commit-shape matrix: a deployment, the
 // transaction driven through it, and what the commit must leave behind.
 type commitShape struct {
-	name       string
-	servers    []string
-	onePhase   bool
-	paxos      bool
-	readOnly   bool   // DLFMs cast read-only votes
-	link       []int  // DATALINK columns linked: 1 → fs1, 2 → fs2
-	enlist     string // a server enlisted without writing
-	fault      string // fault point armed around the commit
-	faultAct   fault.Action
-	faultMatch string
-	xa         bool // PrepareGlobal + CommitGlobal instead of Commit
+	name    string
+	servers []string
+	paxos   bool
+	link    []int    // DATALINK columns linked: 1 → fs1, 2 → fs2
+	enlist  []string // servers enlisted without writing
+	faults  []shapeFault
+	xa      bool // PrepareGlobal + CommitGlobal instead of Commit
+	restart bool // the host crashes and restarts after the commit call
+	// load, when set, replaces the transaction: the Load utility links that
+	// many files on fs1 in a batched transaction committing locally every
+	// two operations.
+	load int
 
 	wantErr     error // nil, or the error class Commit returns
 	want        commitDelta
@@ -45,39 +54,71 @@ type commitShape struct {
 }
 
 // TestCommitShapeMatrix drives one transaction per commit shape the host
-// supports — 2PC, read-only votes, one-phase, Paxos Commit and an XA
-// branch, each clean and in its failure branches — and pins the error
-// class, the counter deltas, whether a dl_outcome row records the
-// decision, and that indoubt resolution leaves every DLFM settled and the
-// cross-system invariant intact.
+// supports — one-phase (the default for one DLFM), 2PC, read-only votes,
+// Paxos Commit and an XA branch, each clean and in its failure branches —
+// and pins the error class, the counter deltas, whether a dl_outcome row
+// records the decision, and that indoubt resolution leaves every DLFM
+// settled and the cross-system invariant intact.
 func TestCommitShapeMatrix(t *testing.T) {
-	fs12 := []string{"fs1", "fs2"}
+	fs1, fs12 := []string{"fs1"}, []string{"fs1", "fs2"}
+	// The DLFM answers the late request only after the host has given up
+	// on it and queried the outcome.
+	late := []shapeFault{
+		{point: "rpc.server.handle", match: "OnePhaseCommit", act: fault.Action{Delay: 200 * time.Millisecond}},
+		{point: "rpc.recv.before", match: "OnePhaseCommit", act: fault.Action{Drop: true}},
+	}
 	shapes := []commitShape{
-		{name: "2pc one writer", servers: []string{"fs1"}, link: []int{1},
-			want: commitDelta{Commits: 1}, wantOutcome: true},
+		// One writing DLFM commits in one phase by default.
+		{name: "1pc committed", servers: fs1, link: []int{1},
+			want: commitDelta{Commits: 1, OnePhase: 1}},
+		// A lone writer takes two phases only beside another enlisted
+		// DLFM; here the writer is the second server, the voter the first.
+		{name: "2pc one writer", servers: fs12, link: []int{2}, enlist: []string{"fs1"},
+			want: commitDelta{Commits: 1, ReadOnly: 1}, wantOutcome: true},
 		{name: "2pc two writers", servers: fs12, link: []int{1, 2},
 			want: commitDelta{Commits: 1}, wantOutcome: true},
-		{name: "writer + read-only voter", servers: fs12, readOnly: true, link: []int{1}, enlist: "fs2",
+		{name: "writer + read-only voter", servers: fs12, link: []int{1}, enlist: []string{"fs2"},
 			want: commitDelta{Commits: 1, ReadOnly: 1}, wantOutcome: true},
-		{name: "all read-only", servers: []string{"fs1"}, readOnly: true, enlist: "fs1",
-			want: commitDelta{Commits: 1, ReadOnly: 1}},
-		{name: "1pc committed", servers: []string{"fs1"}, onePhase: true, link: []int{1},
-			want: commitDelta{Commits: 1, OnePhase: 1}},
-		{name: "1pc refused", servers: []string{"fs1"}, onePhase: true, link: []int{1},
-			fault: "rpc.server.handle", faultMatch: "OnePhaseCommit",
+		{name: "all read-only", servers: fs12, enlist: fs12,
+			want: commitDelta{Commits: 1, ReadOnly: 2}},
+		{name: "1pc refused", servers: fs1, link: []int{1},
+			faults:  []shapeFault{{point: "rpc.server.handle", match: "OnePhaseCommit"}},
 			wantErr: hostdb.ErrTxnRolledBack, want: commitDelta{Aborts: 1}},
-		{name: "1pc lost reply resolved by query", servers: []string{"fs1"}, onePhase: true, link: []int{1},
+		{name: "1pc lost reply resolved by query", servers: fs1, link: []int{1},
 			// The delay lets the DLFM commit before the connection drops,
-			// so only the reply is lost.
-			fault: "rpc.recv.before", faultMatch: "OnePhaseCommit",
-			faultAct: fault.Action{Drop: true, Delay: 200 * time.Millisecond},
-			want:     commitDelta{Commits: 1, OnePhase: 1}},
+			// so only the reply is lost — and the Delete Group daemon
+			// rescans many times before the host asks.
+			faults: []shapeFault{{point: "rpc.recv.before", match: "OnePhaseCommit",
+				act: fault.Action{Drop: true, Delay: 200 * time.Millisecond}}},
+			want: commitDelta{Commits: 1, OnePhase: 1}},
+		{name: "1pc late request refused after none", servers: fs1, link: []int{1}, faults: late,
+			wantErr: hostdb.ErrTxnRolledBack, want: commitDelta{Aborts: 1}},
+		{name: "1pc reply lost and the DLFM unreachable", servers: fs1, link: []int{1},
+			// The DLFM commits, then cannot be asked: the host branch stays
+			// prepared, and resolution commits it once the DLFM answers.
+			faults: []shapeFault{
+				{point: "rpc.recv.before", match: "OnePhaseCommit", act: fault.Action{Drop: true, Delay: 200 * time.Millisecond}},
+				{point: "rpc.send.before", match: "QueryOutcome", act: fault.Action{Drop: true}, repeat: true},
+			},
+			wantErr: hostdb.ErrOutcomeUnknown},
+		{name: "host crash before the 1pc commit", servers: fs1, link: []int{1}, restart: true,
+			faults:  []shapeFault{{point: "hostdb.onephase.crash", match: "pre"}},
+			wantErr: hostdb.ErrOutcomeUnknown},
+		{name: "host crash after the 1pc commit", servers: fs1, link: []int{1}, restart: true,
+			faults:  []shapeFault{{point: "hostdb.onephase.crash", match: "post"}},
+			wantErr: hostdb.ErrOutcomeUnknown},
+		{name: "1pc batched load, commit request lost with its agent", servers: fs1, load: 5,
+			// The agent dies with the request unhandled: its intermediate
+			// commits are in flight ('F') with nobody left to finish them, so
+			// the query compensates them and answers "none".
+			faults:  []shapeFault{{point: "rpc.server.handle", match: "OnePhaseCommit", act: fault.Action{Drop: true}}},
+			wantErr: hostdb.ErrTxnRolledBack, want: commitDelta{Aborts: 1}},
 		{name: "paxos two writers", servers: fs12, paxos: true, link: []int{1, 2},
 			want: commitDelta{Commits: 1, Paxos: 1}, wantOutcome: true},
 		{name: "paxos every acceptor down", servers: fs12, paxos: true, link: []int{1, 2},
-			fault: "paxos.accept_drop", faultAct: fault.Action{Drop: true},
+			faults:  []shapeFault{{point: "paxos.accept_drop", act: fault.Action{Drop: true}}},
 			wantErr: hostdb.ErrTxnRolledBack, want: commitDelta{Aborts: 1}, wantParked: 1},
-		{name: "xa commit", servers: []string{"fs1"}, link: []int{1}, xa: true,
+		{name: "xa commit", servers: fs1, link: []int{1}, xa: true,
 			want: commitDelta{Commits: 1}},
 	}
 	for _, sh := range shapes {
@@ -92,17 +133,16 @@ func runCommitShape(t *testing.T, sh commitShape) {
 		Servers: sh.servers,
 		MutateHost: func(h *hostdb.Config) {
 			h.DB.LockTimeout = 2 * time.Second
-			h.OnePhase = sh.onePhase
+			h.LoadBatchN = 2
 			if sh.paxos {
 				h.CommitProtocol = "paxos"
 			}
 		},
 		MutateDLFM: func(_ string, c *core.Config) {
 			c.DB.LockTimeout = 2 * time.Second
-			c.ReadOnlyVote = sh.readOnly
-			// The Delete Group daemon's rescan garbage-collects the 'C'
-			// entry a one-phase commit leaves; keep it for the outcome query.
-			c.GCInterval = time.Hour
+			// The Delete Group daemon rescans the transaction table every
+			// 5 ms; an outcome the host may still ask for must survive it.
+			c.GCInterval = 5 * time.Millisecond
 		},
 	}
 	if sh.paxos {
@@ -132,31 +172,54 @@ func runCommitShape(t *testing.T, sh commitShape) {
 			t.Fatal(err)
 		}
 	}
-	if sh.enlist != "" {
-		if err := s.Enlist(sh.enlist); err != nil {
+	var loadRows []value.Row
+	for i := 0; i < sh.load; i++ {
+		path := fmt.Sprintf("/cm/l%d", i)
+		if err := st.FS["fs1"].Create(path, "app", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		loadRows = append(loadRows, value.Row{value.Int(int64(10 + i)), value.Str(hostdb.URL("fs1", path))})
+	}
+	for _, server := range sh.enlist {
+		if err := s.Enlist(server); err != nil {
 			t.Fatal(err)
 		}
 	}
 	txn := s.TxnID()
 	before := commitCounters(st)
-	if sh.fault != "" {
+	for _, f := range sh.faults {
 		var opts []fault.Option
-		if sh.faultMatch != "" {
-			opts = append(opts, fault.Match(sh.faultMatch), fault.Times(1))
+		if f.match != "" {
+			opts = append(opts, fault.Match(f.match))
+			if !f.repeat {
+				opts = append(opts, fault.Times(1))
+			}
 		}
-		fault.Default().Arm(sh.fault, sh.faultAct, opts...)
+		fault.Default().Arm(f.point, f.act, opts...)
 	}
-	if sh.xa {
+	switch {
+	case sh.load > 0:
+		batches := st.DLFMs["fs1"].Stats().BatchCommits
+		_, err = st.Host.Load("cm", []string{"id", "c1"}, loadRows)
+		if st.DLFMs["fs1"].Stats().BatchCommits == batches {
+			t.Fatal("the load made no intermediate commit")
+		}
+	case sh.xa:
 		if err = s.PrepareGlobal(); err == nil {
 			err = s.CommitGlobal()
 		}
-	} else {
+	default:
 		err = s.Commit()
 	}
-	if sh.fault != "" {
-		fault.Default().Disarm(sh.fault)
+	for _, f := range sh.faults {
+		fault.Default().Disarm(f.point)
 	}
 	s.Close()
+	if sh.restart {
+		if err := st.Host.Crash(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	if sh.wantErr == nil && err != nil || sh.wantErr != nil && !errors.Is(err, sh.wantErr) {
 		t.Fatalf("commit = %v, want %v", err, sh.wantErr)
@@ -184,8 +247,9 @@ func runCommitShape(t *testing.T, sh commitShape) {
 		t.Errorf("parked hints = %d, want %d", n, sh.wantParked)
 	}
 
-	// Resolution settles every DLFM, and the invariant holds once the
-	// agents of the closed session have released their work.
+	// Resolution settles every DLFM and the host's own branches, forgets
+	// every kept outcome, and the invariant holds once the agents of the
+	// closed session have released their work.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := st.Host.ResolveIndoubts(); err != nil {
@@ -195,11 +259,94 @@ func runCommitShape(t *testing.T, sh commitShape) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.PreparedTxns() == 0 && len(vs) == 0 {
+		settled := st.PreparedTxns() == 0 && len(st.Host.Engine().IndoubtTxns()) == 0 && keptOutcomes(t, st) == 0
+		if settled && len(vs) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after resolution: %d prepared, violations %v", st.PreparedTxns(), vs)
+			t.Fatalf("after resolution: %d prepared, host indoubt %v, %d kept outcomes, violations %v",
+				st.PreparedTxns(), st.Host.Engine().IndoubtTxns(), keptOutcomes(t, st), vs)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// keptOutcomes counts the transaction entries DLFMs keep for the host to
+// forget: one-phase commits ('O') and recorded aborts ('A').
+func keptOutcomes(t *testing.T, st *Stack) int {
+	t.Helper()
+	n := 0
+	for _, d := range st.DLFMs {
+		rows, err := d.DB().DumpTable("dlfm_txn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if s := r[1].Text(); s == "O" || s == "A" {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestKeptOutcomesForgotten follows the outcomes a DLFM keeps for one-phase
+// commits without the indoubt sweep: the connection's next one-phase commit
+// forgets the previous one even with nothing of its own to commit, and the
+// outcome of a commit that dropped a file group passes to the Delete Group
+// daemon, which deletes it once the group is gone.
+func TestKeptOutcomesForgotten(t *testing.T) {
+	st := testStack(t)
+	if err := st.Host.CreateTable("CREATE TABLE ko (id BIGINT, doc VARCHAR)", hostdb.DatalinkCol{Name: "doc"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.FS["fs1"].Create("/ko/f", "app", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s := st.Host.Session()
+	defer s.Close()
+	if _, err := s.Exec(`INSERT INTO ko (id, doc) VALUES (1, ?)`, value.Str(hostdb.URL("fs1", "/ko/f"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := keptOutcomes(t, st); n != 1 {
+		t.Fatalf("kept outcomes after a one-phase commit = %d, want 1", n)
+	}
+	// A transaction that only enlists fs1 commits there in one phase with
+	// no work of its own: its local commit only forgets.
+	if err := s.Enlist("fs1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := keptOutcomes(t, st); n != 0 {
+		t.Fatalf("kept outcomes after the next commit = %d, want 0", n)
+	}
+
+	// DROP TABLE deletes the column's group at fs1 in one phase; the Forget
+	// its session sends on closing hands the outcome to the daemon.
+	if err := st.Host.DropTable("ko"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rows, err := st.DLFMs["fs1"].DB().DumpTable("dlfm_txn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err := st.DLFMs["fs1"].Upcaller().IsLinked("/ko/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		deleted := st.DLFMs["fs1"].Stats().GroupsDeleted
+		if len(rows) == 0 && !status.Linked && deleted == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after DROP TABLE: transaction entries %v, file linked %v, groups deleted %d", rows, status.Linked, deleted)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

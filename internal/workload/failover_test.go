@@ -73,8 +73,9 @@ func TestFailoverSoak(t *testing.T) {
 // outcomes after failover: a transaction whose commit decision was recorded
 // but whose phase 2 was lost is re-driven to commit on the promoted
 // standby, and a transaction abandoned after prepare is presumed aborted.
+// Transaction A writes on fs1 and fs2, so it commits in two phases.
 func TestResolveIndoubtsAgainstPromotedStandby(t *testing.T) {
-	st := newStandbyStack(t, "fs1")
+	st := newStandbyStack(t, "fs1", "fs2")
 
 	r, err := NewRunner(st, Config{Server: "fs1", Table: "fo_res", Clients: 1})
 	if err != nil {
@@ -87,16 +88,20 @@ func TestResolveIndoubtsAgainstPromotedStandby(t *testing.T) {
 	// Transaction A: the coordinator "crashes" between recording the commit
 	// decision and phase 2. The DLFM keeps a prepared 'P' row; dl_outcome
 	// says commit.
-	if err := st.FS["fs1"].Create("/data/a.txt", "app", []byte("a")); err != nil {
-		t.Fatal(err)
+	for _, fs := range []string{"fs1", "fs2"} {
+		if err := st.FS[fs].Create("/data/a.txt", "app", []byte("a")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fault.Default().Arm("hostdb.commit.between_phases", fault.Action{}, fault.Times(1))
 	defer fault.Default().Disarm("hostdb.commit.between_phases")
 	s := st.Host.Session()
 	defer s.Close()
-	if _, err := s.Exec(`INSERT INTO fo_res (id, owner, doc) VALUES (?, ?, ?)`,
-		value.Int(1), value.Int(1), value.Str(hostdb.URL("fs1", "/data/a.txt"))); err != nil {
-		t.Fatal(err)
+	for i, fs := range []string{"fs1", "fs2"} {
+		if _, err := s.Exec(`INSERT INTO fo_res (id, owner, doc) VALUES (?, ?, ?)`,
+			value.Int(int64(i+1)), value.Int(1), value.Str(hostdb.URL(fs, "/data/a.txt"))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Commit(); err == nil {
 		t.Fatal("expected the between-phases interruption")
@@ -167,6 +172,9 @@ func TestResolveIndoubtsAgainstPromotedStandby(t *testing.T) {
 	}
 	if !resp.Linked {
 		t.Error("committed transaction A lost its link across failover")
+	}
+	if status, err := st.DLFMs["fs2"].Upcaller().IsLinked("/data/a.txt"); err != nil || !status.Linked {
+		t.Errorf("committed transaction A not linked on fs2: %+v %v", status, err)
 	}
 	resp, err = probe.Call(rpc.IsLinkedReq{Name: "/data/b.txt"})
 	if err != nil || !resp.OK() {

@@ -9,26 +9,29 @@ import (
 	"repro/internal/value"
 )
 
-// TestTracedCommitChain runs one link transaction end to end and asserts
-// the shared tracer holds the ordered 2PC lifecycle for that host
-// transaction as spans: statement → link RPC → agent link → commit root →
-// prepare → phase 2 — and, nothing having gone wrong, no marks.
+// TestTracedCommitChain runs one link transaction writing on two DLFMs
+// end to end and asserts the shared tracer holds the ordered 2PC lifecycle
+// for that host transaction as spans: statement → link RPC → agent link →
+// commit root → prepare → phase 2 — and, nothing having gone wrong, no
+// marks.
 func TestTracedCommitChain(t *testing.T) {
-	st := testStack(t)
+	st := testStack(t, func(c *StackConfig) { c.Servers = []string{"fs1", "fs2"} })
 	if err := st.Host.CreateTable(
-		`CREATE TABLE docs (id BIGINT NOT NULL, doc VARCHAR)`,
-		hostdb.DatalinkCol{Name: "doc"},
+		`CREATE TABLE docs (id BIGINT NOT NULL, doc VARCHAR, doc2 VARCHAR)`,
+		hostdb.DatalinkCol{Name: "doc"}, hostdb.DatalinkCol{Name: "doc2"},
 	); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.FS["fs1"].Create("/data/a1", "app", []byte("x")); err != nil {
-		t.Fatal(err)
+	for _, fs := range []string{"fs1", "fs2"} {
+		if err := st.FS[fs].Create("/data/a1", "app", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s := st.Host.Session()
 	defer s.Close()
-	if _, err := s.Exec(`INSERT INTO docs (id, doc) VALUES (?, ?)`,
-		value.Int(1), value.Str(hostdb.URL("fs1", "/data/a1"))); err != nil {
+	if _, err := s.Exec(`INSERT INTO docs (id, doc, doc2) VALUES (?, ?, ?)`, value.Int(1),
+		value.Str(hostdb.URL("fs1", "/data/a1")), value.Str(hostdb.URL("fs2", "/data/a1"))); err != nil {
 		t.Fatal(err)
 	}
 	txn := s.TxnID()

@@ -202,6 +202,18 @@ type clientState struct {
 	sess *hostdb.Session
 }
 
+// forgetID stops the client from touching id again: a transaction whose
+// outcome is unknown left the row locked and its contents undecided.
+func (cs *clientState) forgetID(id int64) {
+	for i, v := range cs.ids {
+		if v == id {
+			cs.ids[i] = cs.ids[len(cs.ids)-1]
+			cs.ids = cs.ids[:len(cs.ids)-1]
+			return
+		}
+	}
+}
+
 // Run executes the workload and collects metrics.
 func (r *Runner) Run() (Result, error) {
 	var (
@@ -253,12 +265,17 @@ func (r *Runner) Run() (Result, error) {
 						reads.Add(1)
 					}
 				case errors.Is(err, hostdb.ErrCommitUnacked):
-				// The decision is durable and the transaction committed;
-				// only the phase-2 acknowledgements are outstanding (the
-				// coordinator-crash window the commit-protocol experiment
-				// injects). The client's work is done.
-				commits.Add(1)
-			case errors.Is(err, hostdb.ErrTxnRolledBack):
+					// The decision is durable and the transaction committed;
+					// only the phase-2 acknowledgements are outstanding (the
+					// coordinator-crash window the commit-protocol experiment
+					// injects). The client's work is done.
+					commits.Add(1)
+				case errors.Is(err, hostdb.ErrOutcomeUnknown):
+					// The transaction may or may not have committed; its host
+					// rows stay locked until indoubt resolution. oneOp has
+					// stopped tracking them.
+					rollbacks.Add(1)
+				case errors.Is(err, hostdb.ErrTxnRolledBack):
 					// Deadlock/timeout victim: the paper's applications
 					// retry. Acknowledge, count, continue.
 					rollbacks.Add(1)
@@ -357,6 +374,9 @@ func (r *Runner) oneOp(cs *clientState) (string, error) {
 			return "update", err
 		}
 		if err := s.Commit(); err != nil {
+			if errors.Is(err, hostdb.ErrOutcomeUnknown) {
+				cs.forgetID(id)
+			}
 			return "update", err
 		}
 		return "update", nil

@@ -239,7 +239,8 @@ func RunStorm(st *Stack, cfg StormConfig) (StormResult, error) {
 					// tight loop here.
 					shed.Add(1)
 				case errors.Is(err, hostdb.ErrTxnRolledBack),
-					errors.Is(err, hostdb.ErrStatement):
+					errors.Is(err, hostdb.ErrStatement),
+					errors.Is(err, hostdb.ErrOutcomeUnknown):
 					rollbacks.Add(1)
 					if cs.sess.TxnID() != 0 {
 						cs.sess.Rollback()
