@@ -324,14 +324,3 @@ func (h *Histogram) buckets() (bounds []int64, cumulative []int64) {
 	}
 	return h.bounds, cumulative
 }
-
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	h.exNS.Store(0)
-	h.exTrace.Store(0)
-}

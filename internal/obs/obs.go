@@ -45,9 +45,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// reset is used by Registry.Reset (bench harness scoping).
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is a value that can go up and down (queue depths, active bytes).
 // The zero value is ready to use.
 type Gauge struct {
@@ -62,8 +59,6 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-func (g *Gauge) reset() { g.v.Store(0) }
 
 // defaultRegistry is the process-wide registry used by components that are
 // not handed an explicit one (the workload runner, the bench harness).

@@ -111,23 +111,6 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.hists[name] = h
 }
 
-// Reset zeroes every counter, gauge, and histogram (GaugeFuncs are left
-// alone). The bench harness uses it to scope the default registry to one
-// experiment; production servers never call it.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-}
-
 // WriteProm renders every metric in Prometheus text exposition format
 // (sorted by name, histograms as cumulative le buckets in seconds).
 func (r *Registry) WriteProm(w io.Writer) error {

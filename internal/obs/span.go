@@ -589,9 +589,9 @@ func (t *Tracer) Attribution(trace int64) Attribution {
 
 // --- Process-wide defaults --------------------------------------------------
 
-// defaultTracerConfig lets command-line flags (dlfmbench -trace-sample,
-// -slow-txn-threshold, …) reach stacks the experiments construct
-// internally, without threading a config through every experiment.
+// defaultTracerConfig lets command-line flags (dlfmd -trace-sample,
+// -slow-txn-threshold, …) reach tracers built deep inside a deployment,
+// without threading a config through every constructor.
 var defaultTracerConfig atomic.Value // TracerConfig
 
 // SetDefaultTracerConfig installs the config NewTracerDefault uses.
@@ -607,22 +607,3 @@ func DefaultTracerConfig() TracerConfig {
 
 // NewTracerDefault returns a tracer built from the process-wide config.
 func NewTracerDefault() *Tracer { return NewTracerCfg(DefaultTracerConfig()) }
-
-// processTracer publishes the most recent stack's tracer so a CLI can dump
-// the slow-transaction log after a run (dlfmbench -slow-out).
-var processTracer atomic.Value // *Tracer
-
-// SetProcessTracer publishes t as the process's current tracer.
-func SetProcessTracer(t *Tracer) {
-	if t != nil {
-		processTracer.Store(t)
-	}
-}
-
-// ProcessTracer returns the last tracer published with SetProcessTracer.
-func ProcessTracer() *Tracer {
-	if v := processTracer.Load(); v != nil {
-		return v.(*Tracer)
-	}
-	return nil
-}

@@ -77,6 +77,12 @@ func DecodeRow(buf []byte) (Row, int, error) {
 		return nil, 0, fmt.Errorf("value: truncated row header")
 	}
 	n := int(binary.BigEndian.Uint32(buf[:4]))
+	// Every value takes at least its 1-byte kind tag, so a count past the
+	// remaining bytes is corrupt; rejecting it here keeps a hostile count
+	// from sizing the allocation below.
+	if n > len(buf)-4 {
+		return nil, 0, fmt.Errorf("value: row claims %d columns in %d bytes", n, len(buf)-4)
+	}
 	off := 4
 	row := make(Row, 0, n)
 	for i := 0; i < n; i++ {

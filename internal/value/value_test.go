@@ -235,6 +235,24 @@ func TestDecodeValueErrors(t *testing.T) {
 	}
 }
 
+// A column count larger than the bytes left is rejected before anything is
+// allocated for it, so a corrupt or hostile count cannot size a huge slice.
+func TestDecodeRowOversizedCount(t *testing.T) {
+	for _, b := range [][]byte{
+		{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0},
+		{0, 0, 0, 3, byte(KindNull), byte(KindNull)},
+	} {
+		if _, _, err := DecodeRow(b); err == nil {
+			t.Errorf("DecodeRow(%v) succeeded, want error", b)
+		}
+	}
+	// The bound is inclusive: n one-byte NULLs in exactly n bytes decode.
+	row, used, err := DecodeRow([]byte{0, 0, 0, 2, byte(KindNull), byte(KindNull)})
+	if err != nil || len(row) != 2 || used != 6 {
+		t.Fatalf("DecodeRow of two NULLs = %v, %d, %v", row, used, err)
+	}
+}
+
 // Property: Compare is antisymmetric and round-trip encoding preserves order.
 func TestQuickCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {

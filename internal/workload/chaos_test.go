@@ -9,7 +9,7 @@ import (
 	"repro/internal/hostdb"
 )
 
-// TestChaosSmoke is a miniature of the dlfmbench chaos soak: a short
+// TestChaosSmoke is the fault-injection soak in miniature: a short
 // two-server run with aggressive kill/drop intervals, then the indoubt
 // drain and the cross-system consistency check. It shares the process-wide
 // fault registry, so it must not run in parallel with other fault tests.

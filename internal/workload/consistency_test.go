@@ -9,7 +9,10 @@ import (
 
 // TestHostDLFMConsistency verifies the core invariant after a concurrent
 // run: every DATALINK value the host holds corresponds to a linked DLFM
-// entry. On failure it dumps the divergent entries for diagnosis.
+// entry. On failure it dumps the divergent entries for diagnosis. The run
+// is also E1's shape: under the production configuration (next-key
+// locking off, hand-crafted statistics) the paper's mix commits without a
+// deadlock storm.
 func TestHostDLFMConsistency(t *testing.T) {
 	st := testStack(t)
 	r, err := NewRunner(st, Config{
@@ -25,8 +28,15 @@ func TestHostDLFMConsistency(t *testing.T) {
 	if err := r.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(); err != nil {
+	res, err := r.Run()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Commits == 0 {
+		t.Fatal("the run committed nothing")
+	}
+	if dl := st.EngineStats().Lock.Deadlocks; dl*1000 > 50*res.Commits {
+		t.Errorf("%d DLFM deadlocks in %d commits, over 50 per 1000 under the production configuration", dl, res.Commits)
 	}
 	s := st.Host.Session()
 	defer s.Close()

@@ -32,9 +32,9 @@ func newStandbyStack(t *testing.T, servers ...string) *Stack {
 	return st
 }
 
-// TestFailoverSoak is the short in-tree version of `make failover-smoke`:
-// kill a primary for good mid-run, fail over to its standby, drain, and
-// hold the consistency invariant with zero lost committed links.
+// TestFailoverSoak kills a primary for good mid-run, fails over to its
+// standby, drains, and holds the consistency invariant with zero lost
+// committed links.
 func TestFailoverSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover soak in -short mode")

@@ -1,19 +1,15 @@
 package workload
 
 import (
-	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
 // This file wires a deployment into the fleet observability plane: one
-// fleet.Source per member (host + each DLFM), per-member admin surfaces for
-// multi-process-style HTTP scraping, and the live admin handler dlfmbench's
-// -admin flag serves while experiments run.
+// fleet.Source per member (host + each DLFM) and per-member admin surfaces
+// for multi-process-style HTTP scraping.
 
 // FleetSources wraps every member of the deployment as a fleet source: the
 // host first (carrying any extra registries, e.g. the process-wide default
@@ -108,40 +104,4 @@ func (st *Stack) MemberAdmin(name string, extra ...*obs.Registry) *obs.Admin {
 		Tracer:     d.Tracer(),
 		WaitEdges:  d.WaitEdges,
 	}
-}
-
-// liveStack tracks the most recently built deployment, so a long-lived
-// admin listener (dlfmbench -admin) can follow experiments as they build
-// and tear down stacks.
-var liveStack atomic.Pointer[Stack]
-
-// LiveStack returns the most recently built, not-yet-closed deployment.
-func LiveStack() *Stack { return liveStack.Load() }
-
-// LiveAdminHandler serves the current deployment's full admin surface,
-// with the fleet plane mounted under /cluster/. The handler follows stack
-// churn: each experiment's NewStack swaps the target, and requests between
-// stacks answer 503 rather than holding a dead deployment alive.
-func LiveAdminHandler() http.Handler {
-	var mu sync.Mutex
-	var cur *Stack
-	var handler http.Handler
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := liveStack.Load()
-		if st == nil {
-			http.Error(w, "no active deployment", http.StatusServiceUnavailable)
-			return
-		}
-		mu.Lock()
-		if st != cur {
-			admin := st.Admin()
-			admin.Mounts = map[string]http.Handler{
-				"/cluster/": st.NewFleetPlane(fleet.HealthConfig{}, obs.Default()).Handler(),
-			}
-			cur, handler = st, admin.Handler()
-		}
-		h := handler
-		mu.Unlock()
-		h.ServeHTTP(w, r)
-	})
 }

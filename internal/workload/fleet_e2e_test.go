@@ -177,49 +177,6 @@ func TestFleetPlaneUnderMemberChurn(t *testing.T) {
 	}
 }
 
-// TestLiveAdminHandler: the dlfmbench -admin surface follows stack churn —
-// 503 with no deployment, live admin + /cluster/* while one is up, 503
-// again after it closes.
-func TestLiveAdminHandler(t *testing.T) {
-	srv := httptest.NewServer(LiveAdminHandler())
-	defer srv.Close()
-	status := func(path string) int {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	if got := status("/metrics"); got != http.StatusServiceUnavailable {
-		t.Fatalf("no-deployment /metrics = %d, want 503", got)
-	}
-
-	st := testStack(t)
-	if LiveStack() != st {
-		t.Fatal("NewStack did not publish the live stack")
-	}
-	if got := status("/metrics"); got != http.StatusOK {
-		t.Fatalf("live /metrics = %d, want 200", got)
-	}
-	if got := status("/cluster/metrics"); got != http.StatusOK {
-		t.Fatalf("live /cluster/metrics = %d, want 200", got)
-	}
-	if got := status("/debug/waitedges"); got != http.StatusOK {
-		t.Fatalf("live /debug/waitedges = %d, want 200", got)
-	}
-
-	st.Close()
-	if LiveStack() != nil {
-		t.Fatal("Close did not retire the live stack")
-	}
-	if got := status("/metrics"); got != http.StatusServiceUnavailable {
-		t.Fatalf("post-close /metrics = %d, want 503", got)
-	}
-}
-
 // TestMemberAdminIsolated: a member's admin surface exposes only its own
 // registries — the property that makes per-member HTTP scraping mean
 // something.

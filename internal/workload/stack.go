@@ -248,9 +248,8 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	// One shared tracer: host and DLFM spans interleave on one clock, so
 	// a transaction's full 2PC timeline reads top to bottom. Ring size,
 	// slow log, and sampling rate come from the process-wide tracer
-	// configuration (dlfmbench flags set it).
+	// configuration (dlfmd's flags set it).
 	tracer := obs.NewTracerDefault()
-	obs.SetProcessTracer(tracer)
 	flight := obs.NewFlightRecorder(0)
 	hostCfg := hostdb.DefaultConfig("host")
 	hostCfg.Tracer = tracer
@@ -373,9 +372,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		}
 		st.ClusterName = name
 	}
-	// Publish for the live admin endpoint (dlfmbench -admin): the newest
-	// deployment is the one experiments are currently driving.
-	liveStack.Store(st)
 	return st, nil
 }
 
@@ -482,7 +478,6 @@ func (st *Stack) KillForever(name string) {
 
 // Close shuts the deployment down.
 func (st *Stack) Close() {
-	liveStack.CompareAndSwap(st, nil)
 	for _, e := range st.eps {
 		e.halt()
 	}

@@ -128,9 +128,9 @@ func RunStorm(st *Stack, cfg StormConfig) (StormResult, error) {
 		cfg.Table = "storm"
 	}
 
-	// Storm metrics ride on the process registry so the BENCH line carries
-	// the raw counters; the storm_ prefix keeps benchgate from gating these
-	// machine-speed-dependent values.
+	// Storm metrics ride on the process registry: a host admin surface that
+	// carries it (MemberAdmin's extra registries) serves them beside the
+	// host's own series, where the fleet plane scrapes them.
 	reg := obs.Default()
 	var arrivals, commits, shed, rollbacks obs.Counter
 	reg.RegisterCounter("storm_arrivals_total", &arrivals)
