@@ -10,8 +10,10 @@ all: ci
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would change.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -7,8 +7,14 @@
 // Usage:
 //
 //	dlfmd -listen :7117 -name fs1 -wal /var/dlfm/fs1.wal
+//	dlfmd -listen :7117 -name fs1 -data-dir /var/dlfm/fs1 -checkpoint-every 1m
 //	dlfmd -listen :7117 -name fs1 -admin :7118 \
 //	      -fleet :7119 -fleet-peers fs2=127.0.0.1:7218,fs3=127.0.0.1:7318
+//
+// -wal alone gives a durable log with in-memory tables, rebuilt at start
+// by replaying the whole log. -data-dir keeps the tables on pages, and
+// restart replays only the log past the last checkpoint, which
+// -checkpoint-every takes periodically; it needs -data-dir.
 //
 // The file server and archive server are in-process simulations (see
 // DESIGN.md); -seed-files pre-creates files so a remote host can link them.
@@ -68,6 +74,9 @@ func main() {
 	slowThreshold := flag.Duration("slow-txn-threshold", obs.DefaultSlowThreshold, "commits slower than this keep their full span tree in /debug/slow (<0 disables)")
 	slowKeep := flag.Int("slow-keep", obs.DefaultSlowKeep, "how many slowest span trees /debug/slow retains")
 	flag.Parse()
+	if *ckptEvery != 0 && *dataDir == "" {
+		log.Fatal("dlfmd: -checkpoint-every needs -data-dir: without pages there is nothing to checkpoint")
+	}
 
 	obs.SetDefaultTracerConfig(obs.TracerConfig{
 		SpanCapacity:  *traceRing,

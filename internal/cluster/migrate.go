@@ -433,10 +433,10 @@ func (mv *Mover) drain(src *rpc.Client, slot int) error {
 // (dlfm_txn 'P') stays undecided until the global decision reaches this
 // member: a committed 'C' mark or a committed delete of its dlfm_txn row.
 func (mv *Mover) undecided(recs []wal.Record, slot int) int {
-	touched := map[int64]bool{}   // local txns with slot-touching dlfm_file writes
-	committed := map[int64]bool{} // local txns with a commit record
-	decided := map[int64]bool{}   // local txns with a commit or abort record
-	pendingOf := map[int64]int64{}  // prepare local txn -> global txn id
+	touched := map[int64]bool{}      // local txns with slot-touching dlfm_file writes
+	committed := map[int64]bool{}    // local txns with a commit record
+	decided := map[int64]bool{}      // local txns with a commit or abort record
+	pendingOf := map[int64]int64{}   // prepare local txn -> global txn id
 	resolvers := map[int64][]int64{} // global txn id -> local txns carrying its decision
 	for _, r := range recs {
 		switch r.Type {

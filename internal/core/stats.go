@@ -7,34 +7,34 @@ import "repro/internal/obs"
 // (dlfm_* metric names), so Stats() snapshots and /metrics scrapes can
 // never disagree.
 type Stats struct {
-	Links          obs.Counter // LinkFile operations applied
-	Unlinks        obs.Counter // UnlinkFile operations applied
-	Backouts       obs.Counter // in_backout link/unlink requests
-	Prepares       obs.Counter // successful prepare votes
-	PrepareFails   obs.Counter // prepare votes of "no"
-	Commits        obs.Counter // phase-2 commits completed
-	Aborts         obs.Counter // aborts completed (either phase)
-	Phase2Retries  obs.Counter // phase-2 commit/abort attempts retried
-	Phase2Giveups  obs.Counter // phase-2 retry caps hit (txn left for resolution)
-	Compensations  obs.Counter // delayed-update rollbacks after local commit
-	BatchCommits   obs.Counter // intermediate local commits of batched txns
-	ArchiveCopies  obs.Counter // files copied to the archive server
-	Retrievals     obs.Counter // files restored from the archive server
-	ChownOps       obs.Counter // takeover/release operations
-	Upcalls        obs.Counter // IsLinked upcalls served
-	GroupsDeleted  obs.Counter // groups fully unlinked by the daemon
-	FilesGCed      obs.Counter // unlinked entries garbage collected
-	BackupsGCed    obs.Counter // backup rows aged out
-	StatsRepairs   obs.Counter // stats-guard re-installations
-	IndoubtReports obs.Counter // ListIndoubt calls answered
-	DaemonLogFulls obs.Counter // log-full errors hit by daemons (E8)
-	ReplFetches    obs.Counter // replication fetches served to a standby
-	Promotes       obs.Counter // standby-to-primary promotions
-	MigratedIn     obs.Counter // linked entries installed by slot migration
-	MigratedOut    obs.Counter // linked entries removed by slot migration
-	ReadOnlyVotes  obs.Counter // prepare fast path: read-only votes cast
+	Links           obs.Counter // LinkFile operations applied
+	Unlinks         obs.Counter // UnlinkFile operations applied
+	Backouts        obs.Counter // in_backout link/unlink requests
+	Prepares        obs.Counter // successful prepare votes
+	PrepareFails    obs.Counter // prepare votes of "no"
+	Commits         obs.Counter // phase-2 commits completed
+	Aborts          obs.Counter // aborts completed (either phase)
+	Phase2Retries   obs.Counter // phase-2 commit/abort attempts retried
+	Phase2Giveups   obs.Counter // phase-2 retry caps hit (txn left for resolution)
+	Compensations   obs.Counter // delayed-update rollbacks after local commit
+	BatchCommits    obs.Counter // intermediate local commits of batched txns
+	ArchiveCopies   obs.Counter // files copied to the archive server
+	Retrievals      obs.Counter // files restored from the archive server
+	ChownOps        obs.Counter // takeover/release operations
+	Upcalls         obs.Counter // IsLinked upcalls served
+	GroupsDeleted   obs.Counter // groups fully unlinked by the daemon
+	FilesGCed       obs.Counter // unlinked entries garbage collected
+	BackupsGCed     obs.Counter // backup rows aged out
+	StatsRepairs    obs.Counter // stats-guard re-installations
+	IndoubtReports  obs.Counter // ListIndoubt calls answered
+	DaemonLogFulls  obs.Counter // log-full errors hit by daemons (E8)
+	ReplFetches     obs.Counter // replication fetches served to a standby
+	Promotes        obs.Counter // standby-to-primary promotions
+	MigratedIn      obs.Counter // linked entries installed by slot migration
+	MigratedOut     obs.Counter // linked entries removed by slot migration
+	ReadOnlyVotes   obs.Counter // prepare fast path: read-only votes cast
 	OnePhaseCommits obs.Counter // fused single-participant commits served
-	SelfResolved   obs.Counter // prepared txns resolved by the outcome learner
+	SelfResolved    obs.Counter // prepared txns resolved by the outcome learner
 }
 
 // register exposes every counter on reg under its dlfm_* metric name.
@@ -93,29 +93,29 @@ type Snapshot struct {
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Snapshot {
 	return Snapshot{
-		Links:          s.stats.Links.Load(),
-		Unlinks:        s.stats.Unlinks.Load(),
-		Backouts:       s.stats.Backouts.Load(),
-		Prepares:       s.stats.Prepares.Load(),
-		PrepareFails:   s.stats.PrepareFails.Load(),
-		Commits:        s.stats.Commits.Load(),
-		Aborts:         s.stats.Aborts.Load(),
-		Phase2Retries:  s.stats.Phase2Retries.Load(),
-		Phase2Giveups:  s.stats.Phase2Giveups.Load(),
-		Compensations:  s.stats.Compensations.Load(),
-		BatchCommits:   s.stats.BatchCommits.Load(),
-		ArchiveCopies:  s.stats.ArchiveCopies.Load(),
-		Retrievals:     s.stats.Retrievals.Load(),
-		ChownOps:       s.stats.ChownOps.Load(),
-		Upcalls:        s.stats.Upcalls.Load(),
-		GroupsDeleted:  s.stats.GroupsDeleted.Load(),
-		FilesGCed:      s.stats.FilesGCed.Load(),
-		BackupsGCed:    s.stats.BackupsGCed.Load(),
-		StatsRepairs:   s.stats.StatsRepairs.Load(),
-		IndoubtReports: s.stats.IndoubtReports.Load(),
-		DaemonLogFulls: s.stats.DaemonLogFulls.Load(),
-		ReplFetches:    s.stats.ReplFetches.Load(),
-		Promotes:       s.stats.Promotes.Load(),
+		Links:           s.stats.Links.Load(),
+		Unlinks:         s.stats.Unlinks.Load(),
+		Backouts:        s.stats.Backouts.Load(),
+		Prepares:        s.stats.Prepares.Load(),
+		PrepareFails:    s.stats.PrepareFails.Load(),
+		Commits:         s.stats.Commits.Load(),
+		Aborts:          s.stats.Aborts.Load(),
+		Phase2Retries:   s.stats.Phase2Retries.Load(),
+		Phase2Giveups:   s.stats.Phase2Giveups.Load(),
+		Compensations:   s.stats.Compensations.Load(),
+		BatchCommits:    s.stats.BatchCommits.Load(),
+		ArchiveCopies:   s.stats.ArchiveCopies.Load(),
+		Retrievals:      s.stats.Retrievals.Load(),
+		ChownOps:        s.stats.ChownOps.Load(),
+		Upcalls:         s.stats.Upcalls.Load(),
+		GroupsDeleted:   s.stats.GroupsDeleted.Load(),
+		FilesGCed:       s.stats.FilesGCed.Load(),
+		BackupsGCed:     s.stats.BackupsGCed.Load(),
+		StatsRepairs:    s.stats.StatsRepairs.Load(),
+		IndoubtReports:  s.stats.IndoubtReports.Load(),
+		DaemonLogFulls:  s.stats.DaemonLogFulls.Load(),
+		ReplFetches:     s.stats.ReplFetches.Load(),
+		Promotes:        s.stats.Promotes.Load(),
 		MigratedIn:      s.stats.MigratedIn.Load(),
 		MigratedOut:     s.stats.MigratedOut.Load(),
 		ReadOnlyVotes:   s.stats.ReadOnlyVotes.Load(),

@@ -1,237 +1,105 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
+	"sort"
+	"strings"
+	"time"
 
-	"repro/internal/sql"
-	"repro/internal/value"
+	"repro/internal/storage"
 )
 
-// Checkpointing bounds recovery time and log growth. The checkpoint is
-// *sharp* (quiesced): it requires no in-flight transactions, captures every
-// table into a snapshot file next to the log, and resets the log — exactly
-// the maintenance-window checkpoint a DLFM installation would schedule,
-// and a prerequisite for the paper's long-lived deployments (a 24-hour
-// workload writes far more log than anyone wants to replay).
-
-// snapMagic guards against loading foreign files as snapshots.
-const snapMagic = uint32(0xD1F0_51AF)
-
-// Checkpoint bounds restart replay. Storage-backed databases (DataDir set)
-// take a *fuzzy* checkpoint — concurrent with transactions, flushing dirty
-// pages and recording the replay-start LSN (see checkpointStorage). The
-// in-memory engine keeps the historical sharp snapshot below, which
-// requires a quiesced database and truncates the log.
+// Checkpoint bounds restart replay of a page-backed database (DataDir set).
+// The checkpoint is *fuzzy*: it runs concurrently with transactions.
+// StartLSN is computed from the log's oldest undecided transaction (and any
+// restored indoubt ones the reopened log no longer tracks) BEFORE the latch
+// is taken, so every record a later recovery could need sits at or above
+// it; then all dirty pages are flushed (log first, the WAL rule) and the
+// meta — table anchors plus that StartLSN — replaces the previous durable
+// set atomically. An in-memory database has nothing to checkpoint: it
+// replays its whole log at restart.
 func (db *DB) Checkpoint() error {
-	if db.store != nil {
-		return db.checkpointStorage()
+	if db.store == nil {
+		return fmt.Errorf("engine: checkpoint requires DataDir")
 	}
-	if db.cfg.LogPath == "" {
-		return fmt.Errorf("engine: checkpoint requires a file-backed log")
-	}
-	if s := db.log.Stats(); s.ActiveTxn != 0 {
-		return fmt.Errorf("engine: checkpoint requires a quiesced database (%d transactions in flight)", s.ActiveTxn)
-	}
-	db.latch.Lock()
-	if len(db.indoubt) != 0 {
-		db.latch.Unlock()
-		return fmt.Errorf("engine: checkpoint requires no indoubt transactions")
-	}
-	buf := db.encodeSnapshotLocked()
-	db.latch.Unlock()
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
+	startLSN := db.log.CheckpointLSN()
 
-	tmp := db.snapPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("engine: checkpoint: %w", err)
+	db.latch.Lock()
+	defer db.latch.Unlock()
+	for _, t := range db.indoubt {
+		if t.firstLSN > 0 && t.firstLSN < startLSN {
+			startLSN = t.firstLSN
+		}
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: checkpoint write: %w", err)
+	meta := storage.Meta{StartLSN: startLSN, NextTxn: db.nextTxn.Load()}
+	names := make([]string, 0, len(db.tables))
+	for name := range db.tables {
+		names = append(names, name)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: checkpoint sync: %w", err)
+	sort.Strings(names)
+	for _, name := range names {
+		tbl := db.tables[name]
+		tm := storage.TableMeta{
+			DDL:      tableDDL(name, tbl),
+			HeapHead: tbl.heap.(*storeHeap).h.Head(),
+			NextRID:  tbl.nextRID,
+		}
+		for _, ix := range tbl.indexes {
+			tm.Indexes = append(tm.Indexes, storage.IndexMeta{
+				DDL:  indexDDL(name, ix),
+				Root: ix.tree.(*storeIndex).t.Root(),
+			})
+		}
+		meta.Tables = append(meta.Tables, tm)
 	}
-	if err := f.Close(); err != nil {
+	if err := db.store.Checkpoint(meta); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, db.snapPath()); err != nil {
-		return fmt.Errorf("engine: checkpoint rename: %w", err)
-	}
-	// The snapshot is durable; everything in the log is now redundant.
-	return db.log.Reset()
+	db.tracer.Emitf(0, "engine", "checkpoint", "%s fuzzy checkpoint at LSN %d (%d tables)",
+		db.cfg.Name, startLSN, len(meta.Tables))
+	return nil
 }
 
-func (db *DB) snapPath() string { return db.cfg.LogPath + ".snap" }
-
-// encodeSnapshotLocked serializes schema (as DDL text) and heap contents.
-// Caller holds the latch.
-func (db *DB) encodeSnapshotLocked() []byte {
-	var buf []byte
-	var tmp8 [8]byte
-	var tmp4 [4]byte
-	putU32 := func(v uint32) {
-		binary.BigEndian.PutUint32(tmp4[:], v)
-		buf = append(buf, tmp4[:]...)
-	}
-	putU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(tmp8[:], v)
-		buf = append(buf, tmp8[:]...)
-	}
-	putStr := func(s string) {
-		putU32(uint32(len(s)))
-		buf = append(buf, s...)
-	}
-
-	putU32(snapMagic)
-	putU64(uint64(db.nextTxn.Load()))
-	putU32(uint32(len(db.tables)))
-	for name, tbl := range db.tables {
-		// Schema as canonical DDL, the same form the log uses.
-		putStr(tableDDL(name, tbl))
-		putU32(uint32(len(tbl.indexes)))
-		for _, ix := range tbl.indexes {
-			putStr(indexDDL(name, ix))
+// checkpointDaemon periodically checkpoints until stop closes.
+func (db *DB) checkpointDaemon(every time.Duration, stop chan struct{}) {
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+			if err := db.Checkpoint(); err != nil {
+				db.tracer.Emitf(0, "engine", "checkpoint_error", "%s: %v", db.cfg.Name, err)
+			}
 		}
-		putU64(uint64(tbl.nextRID))
-		putU32(uint32(tbl.heap.Len()))
-		tbl.heap.Scan(func(rid int64, row value.Row) bool {
-			putU64(uint64(rid))
-			buf = value.AppendRow(buf, row)
-			return true
-		})
 	}
-	return buf
 }
 
-// loadSnapshot restores state from the snapshot file, if one exists.
-// Called during recovery with the latch held; returns whether a snapshot
-// was loaded.
-func (db *DB) loadSnapshotLocked() (bool, error) {
-	if db.cfg.LogPath == "" {
-		return false, nil
-	}
-	buf, err := os.ReadFile(db.snapPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
+// tableDDL renders a table's canonical CREATE TABLE text (the same form the
+// log uses).
+func tableDDL(name string, tbl *table) string {
+	ddl := "CREATE TABLE " + name + " ("
+	for i, col := range tbl.schema.Cols {
+		if i > 0 {
+			ddl += ", "
 		}
-		return false, fmt.Errorf("engine: read snapshot: %w", err)
-	}
-	off := 0
-	getU32 := func() (uint32, error) {
-		if off+4 > len(buf) {
-			return 0, io.ErrUnexpectedEOF
+		ddl += col.Name + " " + typeName(col.Type)
+		if col.NotNull {
+			ddl += " NOT NULL"
 		}
-		v := binary.BigEndian.Uint32(buf[off:])
-		off += 4
-		return v, nil
 	}
-	getU64 := func() (uint64, error) {
-		if off+8 > len(buf) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		v := binary.BigEndian.Uint64(buf[off:])
-		off += 8
-		return v, nil
-	}
-	getStr := func() (string, error) {
-		n, err := getU32()
-		if err != nil {
-			return "", err
-		}
-		if off+int(n) > len(buf) {
-			return "", io.ErrUnexpectedEOF
-		}
-		s := string(buf[off : off+int(n)])
-		off += int(n)
-		return s, nil
-	}
-	fail := func(err error) (bool, error) {
-		return false, fmt.Errorf("engine: corrupt snapshot %s: %w", db.snapPath(), err)
-	}
+	return ddl + ")"
+}
 
-	magic, err := getU32()
-	if err != nil || magic != snapMagic {
-		return fail(fmt.Errorf("bad magic"))
+// indexDDL renders an index's canonical CREATE INDEX text.
+func indexDDL(tableName string, ix *index) string {
+	stmt := "CREATE "
+	if ix.schema.Unique {
+		stmt += "UNIQUE "
 	}
-	nextTxn, err := getU64()
-	if err != nil {
-		return fail(err)
-	}
-	ntables, err := getU32()
-	if err != nil {
-		return fail(err)
-	}
-	for t := uint32(0); t < ntables; t++ {
-		ddl, err := getStr()
-		if err != nil {
-			return fail(err)
-		}
-		stmt, err := sql.Parse(ddl)
-		if err != nil {
-			return fail(err)
-		}
-		ct, isCT := stmt.(sql.CreateTable)
-		if !isCT {
-			return fail(fmt.Errorf("snapshot DDL is not CREATE TABLE: %q", ddl))
-		}
-		if err := db.createTableLocked(ct.Name, astColumns(ct)); err != nil {
-			return fail(err)
-		}
-		nix, err := getU32()
-		if err != nil {
-			return fail(err)
-		}
-		for i := uint32(0); i < nix; i++ {
-			ixDDL, err := getStr()
-			if err != nil {
-				return fail(err)
-			}
-			ixStmt, err := sql.Parse(ixDDL)
-			if err != nil {
-				return fail(err)
-			}
-			ci, isCI := ixStmt.(sql.CreateIndex)
-			if !isCI {
-				return fail(fmt.Errorf("snapshot DDL is not CREATE INDEX: %q", ixDDL))
-			}
-			if err := db.createIndexLocked(ci.Name, ci.Table, ci.Cols, ci.Unique); err != nil {
-				return fail(err)
-			}
-		}
-		nextRID, err := getU64()
-		if err != nil {
-			return fail(err)
-		}
-		nrows, err := getU32()
-		if err != nil {
-			return fail(err)
-		}
-		tbl := db.tables[ct.Name]
-		tbl.nextRID = int64(nextRID)
-		for r := uint32(0); r < nrows; r++ {
-			rid, err := getU64()
-			if err != nil {
-				return fail(err)
-			}
-			row, n, err := value.DecodeRow(buf[off:])
-			if err != nil {
-				return fail(err)
-			}
-			off += n
-			tbl.heap.Put(int64(rid), row)
-			for _, ix := range tbl.indexes {
-				ix.tree.Insert(ix.keyOf(row), int64(rid))
-			}
-		}
-	}
-	if int64(nextTxn) > db.nextTxn.Load() {
-		db.nextTxn.Store(int64(nextTxn))
-	}
-	return true, nil
+	return stmt + "INDEX " + ix.schema.Name + " ON " + tableName +
+		" (" + strings.Join(ix.schema.Cols, ", ") + ")"
 }

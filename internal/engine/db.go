@@ -22,6 +22,7 @@ type Config struct {
 	Name string
 	// LogPath is the write-ahead log file; empty means an in-memory log
 	// (still recoverable within the process, used for crash simulation).
+	// Without DataDir, Open rebuilds the tables from the whole log.
 	LogPath string
 	// LogCapacity is the circular-log capacity in bytes; 0 = unlimited.
 	// Long transactions that outgrow it fail with ErrLogFull.
@@ -215,7 +216,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.GroupCommit {
 		db.log.SetGroupCommit(true)
 	}
-	if err := db.recoverDispatch(); err != nil {
+	if err := db.recover(); err != nil {
 		db.closeStores()
 		return nil, err
 	}
@@ -224,14 +225,6 @@ func Open(cfg Config) (*DB, error) {
 		go db.checkpointDaemon(cfg.CheckpointEvery, db.ckptStop)
 	}
 	return db, nil
-}
-
-// recoverDispatch runs the recovery pass matching the backing store.
-func (db *DB) recoverDispatch() error {
-	if db.store != nil {
-		return db.recoverStorage()
-	}
-	return db.recover()
 }
 
 func (db *DB) closeStores() {
@@ -327,7 +320,7 @@ func (db *DB) Crash() error {
 		db.store.Crash()
 	}
 	db.tracer.Emit(0, "engine", "crash", db.cfg.Name)
-	return db.recoverDispatch()
+	return db.recover()
 }
 
 // Stats returns a snapshot of cumulative engine statistics.

@@ -623,16 +623,15 @@ func (c *Conn) execInsert(s sql.Insert, params []value.Value) (int64, error) {
 // applyInsertLocked logs and applies the insert. Caller holds the latch.
 func (c *Conn) applyInsertLocked(tbl *table, tableName string, rid int64, row value.Row) error {
 	t := c.txn
-	if _, err := c.db.log.Append(wal.Record{
-		Txn: t.id, Type: wal.RecInsert, Table: tableName, RID: rid, After: row,
-	}); err != nil {
+	rec := wal.Record{Txn: t.id, Type: wal.RecInsert, Table: tableName, RID: rid, After: row}
+	if _, err := c.db.log.Append(rec); err != nil {
 		return err
 	}
 	tbl.heap.Put(rid, row)
 	for _, ix := range tbl.indexes {
 		ix.tree.Insert(ix.keyOf(row), rid)
 	}
-	t.undo = append(t.undo, undoOp{typ: wal.RecInsert, table: tableName, rid: rid, after: row})
+	t.undo = append(t.undo, rec)
 	t.wrote = true
 	return nil
 }
@@ -642,16 +641,15 @@ func (c *Conn) applyInsertLocked(tbl *table, tableName string, rid int64, row va
 func (c *Conn) execDelete(s sql.Delete, pl *plan, params []value.Value) (int64, error) {
 	return c.writeScan(s.Table, s.Where, pl, params, func(tbl *table, rid int64, row value.Row) error {
 		t := c.txn
-		if _, err := c.db.log.Append(wal.Record{
-			Txn: t.id, Type: wal.RecDelete, Table: s.Table, RID: rid, Before: row,
-		}); err != nil {
+		rec := wal.Record{Txn: t.id, Type: wal.RecDelete, Table: s.Table, RID: rid, Before: row}
+		if _, err := c.db.log.Append(rec); err != nil {
 			return err
 		}
 		tbl.heap.Delete(rid)
 		for _, ix := range tbl.indexes {
 			ix.tree.Delete(ix.keyOf(row), rid)
 		}
-		t.undo = append(t.undo, undoOp{typ: wal.RecDelete, table: s.Table, rid: rid, before: row})
+		t.undo = append(t.undo, rec)
 		t.wrote = true
 		c.db.deletes.Add(1)
 		return nil
@@ -707,9 +705,8 @@ func (c *Conn) execUpdate(s sql.Update, pl *plan, params []value.Value) (int64, 
 				return fmt.Errorf("%w (table %s, index %s)", ErrDuplicate, s.Table, ix.schema.Name)
 			}
 		}
-		if _, err := c.db.log.Append(wal.Record{
-			Txn: t.id, Type: wal.RecUpdate, Table: s.Table, RID: rid, Before: row, After: newRow,
-		}); err != nil {
+		rec := wal.Record{Txn: t.id, Type: wal.RecUpdate, Table: s.Table, RID: rid, Before: row, After: newRow}
+		if _, err := c.db.log.Append(rec); err != nil {
 			return err
 		}
 		tbl.heap.Put(rid, newRow)
@@ -720,7 +717,7 @@ func (c *Conn) execUpdate(s sql.Update, pl *plan, params []value.Value) (int64, 
 				ix.tree.Insert(newK, rid)
 			}
 		}
-		t.undo = append(t.undo, undoOp{typ: wal.RecUpdate, table: s.Table, rid: rid, before: row, after: newRow})
+		t.undo = append(t.undo, rec)
 		t.wrote = true
 		c.db.updates.Add(1)
 		return nil

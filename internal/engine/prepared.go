@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/lock"
 	"repro/internal/wal"
 )
 
@@ -171,47 +170,4 @@ func (db *DB) ResolveIndoubt(txnID int64, commit bool) error {
 	}
 	db.rollbackTxn(t)
 	return nil
-}
-
-// restoreIndoubtLocked rebuilds a prepared transaction during recovery:
-// its effects are already redone into the heap; here the undo list is
-// reconstructed and its write locks re-acquired so the transaction is
-// exactly as it was at the crash. Caller holds the latch; lock acquisition
-// cannot block because recovery is single-threaded.
-func (db *DB) restoreIndoubtLocked(txnID int64, recs []wal.Record) {
-	t := &txn{id: txnID, prepared: true, wrote: true}
-	touched := make(map[lock.Target]bool)
-	for _, r := range recs {
-		if r.Txn != txnID {
-			continue
-		}
-		if t.firstLSN == 0 || r.LSN < t.firstLSN {
-			t.firstLSN = r.LSN
-		}
-		switch r.Type {
-		case wal.RecInsert:
-			t.undo = append(t.undo, undoOp{typ: wal.RecInsert, table: r.Table, rid: r.RID, after: r.After})
-		case wal.RecDelete:
-			t.undo = append(t.undo, undoOp{typ: wal.RecDelete, table: r.Table, rid: r.RID, before: r.Before})
-		case wal.RecUpdate:
-			t.undo = append(t.undo, undoOp{typ: wal.RecUpdate, table: r.Table, rid: r.RID, before: r.Before, after: r.After})
-		case wal.RecPrepare:
-			t.branch = r.Table
-			continue
-		default:
-			continue
-		}
-		tgt := lock.RowTarget(r.Table, r.RID)
-		if !touched[tgt] {
-			touched[tgt] = true
-		}
-	}
-	// Locks are re-acquired outside the latch path via the lock manager
-	// directly; no other transactions exist during recovery.
-	for tgt := range touched {
-		// Ignore errors: an empty lock manager cannot block or deadlock.
-		_ = db.lm.Acquire(txnID, lock.TableTarget(tgt.Table), lock.IX)
-		_ = db.lm.Acquire(txnID, tgt, lock.X)
-	}
-	db.indoubt[txnID] = t
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/lock"
+	"repro/internal/sql"
 	"repro/internal/wal"
 )
 
@@ -18,9 +19,10 @@ import (
 // replication fetches (ReadFrom) directly from it.
 func (db *DB) WAL() *wal.Log { return db.log }
 
-// lockRecsTargets X-locks every row a replicated transaction touches (plus
-// table IX), so standby readers never observe a half-applied transaction.
-// On failure every lock the transaction holds is released.
+// lockRecsTargets X-locks every row recs touch (plus table IX): a standby's
+// readers never observe a half-applied transaction, and a restored indoubt
+// one holds its locks again. On failure every lock the transaction holds is
+// released.
 func (db *DB) lockRecsTargets(txnID int64, recs []wal.Record) error {
 	locked := make(map[lock.Target]bool)
 	for _, r := range recs {
@@ -57,13 +59,17 @@ func (db *DB) bumpTxnID(txnID int64) {
 // ApplyDDL replays one replicated DDL record (create table/index, drop
 // table). DDL is autocommitted on the primary, so it applies immediately.
 func (db *DB) ApplyDDL(r wal.Record) error {
+	stmt, err := sql.Parse(r.Table)
+	if err != nil {
+		return fmt.Errorf("engine: repl: bad DDL record %q: %w", r.Table, err)
+	}
 	if _, err := db.log.Append(wal.Record{Txn: r.Txn, Type: r.Type, Table: r.Table}); err != nil {
 		return err
 	}
 	db.latch.Lock()
 	defer db.latch.Unlock()
 	db.bumpTxnID(r.Txn)
-	return db.applyRedoLocked(r)
+	return db.replayDDLLocked(stmt)
 }
 
 // ApplyCommitted applies one committed replicated transaction: its data
@@ -72,42 +78,7 @@ func (db *DB) ApplyDDL(r wal.Record) error {
 // concurrent standby readers; on error (lock timeout, deadlock victim)
 // nothing has been applied and the caller may retry.
 func (db *DB) ApplyCommitted(txnID int64, recs []wal.Record) error {
-	if err := db.lockRecsTargets(txnID, recs); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		rec := wal.Record{Txn: txnID, Type: r.Type, Table: r.Table, RID: r.RID, Before: r.Before, After: r.After}
-		if _, err := db.log.Append(rec); err != nil {
-			db.lm.ReleaseAll(txnID)
-			return err
-		}
-	}
-	if _, err := db.log.Append(wal.Record{Txn: txnID, Type: wal.RecCommit}); err != nil {
-		db.lm.ReleaseAll(txnID)
-		return err
-	}
-	if db.cfg.SyncCommit {
-		if err := db.log.Sync(); err != nil {
-			db.lm.ReleaseAll(txnID)
-			return err
-		}
-	}
-	db.latch.Lock()
-	var applyErr error
-	for _, r := range recs {
-		if err := db.applyRedoLocked(r); err != nil {
-			applyErr = err
-			break
-		}
-	}
-	db.bumpTxnID(txnID)
-	db.latch.Unlock()
-	db.lm.ReleaseAll(txnID)
-	if applyErr != nil {
-		return fmt.Errorf("engine: repl apply txn %d: %w", txnID, applyErr)
-	}
-	db.commits.Add(1)
-	return nil
+	return db.applyTxn(txnID, recs, wal.RecCommit)
 }
 
 // ApplyPrepared applies a replicated transaction hardened by prepare but
@@ -116,42 +87,47 @@ func (db *DB) ApplyCommitted(txnID int64, recs []wal.Record) error {
 // crash recovery would restore. The coordinator's later decision arrives
 // through ResolveIndoubt.
 func (db *DB) ApplyPrepared(txnID int64, recs []wal.Record) error {
+	return db.applyTxn(txnID, recs, wal.RecPrepare)
+}
+
+// applyTxn re-logs and redoes one replicated transaction and seals it with
+// a commit or prepare record. A data record for a table the standby does
+// not have means it has diverged from its primary, and is an error.
+func (db *DB) applyTxn(txnID int64, recs []wal.Record, seal wal.RecType) error {
 	if err := db.lockRecsTargets(txnID, recs); err != nil {
 		return err
 	}
-	for _, r := range recs {
-		rec := wal.Record{Txn: txnID, Type: r.Type, Table: r.Table, RID: r.RID, Before: r.Before, After: r.After}
-		if _, err := db.log.Append(rec); err != nil {
-			db.lm.ReleaseAll(txnID)
-			return err
+	fail := func(err error) error {
+		db.lm.ReleaseAll(txnID)
+		return fmt.Errorf("engine: repl apply txn %d: %w", txnID, err)
+	}
+	undo := txnUndo(txnID, recs)
+	for _, r := range undo {
+		if _, err := db.log.Append(r); err != nil {
+			return fail(err)
 		}
 	}
-	if _, err := db.log.Append(wal.Record{Txn: txnID, Type: wal.RecPrepare}); err != nil {
-		db.lm.ReleaseAll(txnID)
-		return err
+	if _, err := db.log.Append(wal.Record{Txn: txnID, Type: seal}); err != nil {
+		return fail(err)
 	}
-	if err := db.log.Sync(); err != nil {
-		db.lm.ReleaseAll(txnID)
-		return err
+	if seal == wal.RecPrepare || db.cfg.SyncCommit {
+		if err := db.log.Sync(); err != nil {
+			return fail(err)
+		}
 	}
 	db.latch.Lock()
 	defer db.latch.Unlock()
-	t := &txn{id: txnID, prepared: true, wrote: true}
-	for _, r := range recs {
-		if err := db.applyRedoLocked(r); err != nil {
-			db.lm.ReleaseAll(txnID)
-			return fmt.Errorf("engine: repl apply prepared txn %d: %w", txnID, err)
-		}
-		switch r.Type {
-		case wal.RecInsert:
-			t.undo = append(t.undo, undoOp{typ: wal.RecInsert, table: r.Table, rid: r.RID, after: r.After})
-		case wal.RecDelete:
-			t.undo = append(t.undo, undoOp{typ: wal.RecDelete, table: r.Table, rid: r.RID, before: r.Before})
-		case wal.RecUpdate:
-			t.undo = append(t.undo, undoOp{typ: wal.RecUpdate, table: r.Table, rid: r.RID, before: r.Before, after: r.After})
+	db.bumpTxnID(txnID)
+	for _, r := range undo {
+		if !db.redoLocked(r) {
+			return fail(fmt.Errorf("%s into unknown table %q (LSN %d)", r.Type, r.Table, r.LSN))
 		}
 	}
-	db.bumpTxnID(txnID)
-	db.indoubt[txnID] = t
+	if seal == wal.RecPrepare {
+		db.indoubt[txnID] = &txn{id: txnID, prepared: true, wrote: true, undo: undo}
+		return nil
+	}
+	db.lm.ReleaseAll(txnID)
+	db.commits.Add(1)
 	return nil
 }

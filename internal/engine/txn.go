@@ -17,20 +17,12 @@ var (
 	fpTxnPrepare = fault.P("engine.txn.prepare")
 )
 
-// undoOp is one entry of a transaction's in-memory undo list. Rollback
-// applies inverses in reverse order; durability across crashes comes from
-// the write-ahead log instead.
-type undoOp struct {
-	typ    wal.RecType // RecInsert, RecDelete, or RecUpdate
-	table  string
-	rid    int64
-	before value.Row
-	after  value.Row
-}
-
 type txn struct {
-	id       int64
-	undo     []undoOp
+	id int64
+	// undo holds the transaction's data records in log order. Rollback
+	// applies their inverses in reverse; durability across crashes comes
+	// from the write-ahead log instead.
+	undo     []wal.Record
 	aborted  bool
 	prepared bool
 	wrote    bool
@@ -157,32 +149,7 @@ func (c *Conn) Rollback() error {
 func (db *DB) rollbackTxn(t *txn) {
 	db.latch.Lock()
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		op := t.undo[i]
-		tbl := db.tables[op.table]
-		if tbl == nil {
-			continue // table dropped after the change; nothing to restore
-		}
-		switch op.typ {
-		case wal.RecInsert:
-			tbl.heap.Delete(op.rid)
-			for _, ix := range tbl.indexes {
-				ix.tree.Delete(ix.keyOf(op.after), op.rid)
-			}
-		case wal.RecDelete:
-			tbl.heap.Put(op.rid, op.before)
-			for _, ix := range tbl.indexes {
-				ix.tree.Insert(ix.keyOf(op.before), op.rid)
-			}
-		case wal.RecUpdate:
-			tbl.heap.Put(op.rid, op.before)
-			for _, ix := range tbl.indexes {
-				oldK, newK := ix.keyOf(op.before), ix.keyOf(op.after)
-				if value.CompareKeys(oldK, newK) != 0 {
-					ix.tree.Delete(newK, op.rid)
-					ix.tree.Insert(oldK, op.rid)
-				}
-			}
-		}
+		db.undoLocked(t.undo[i])
 	}
 	db.latch.Unlock()
 	if t.wrote {
@@ -198,6 +165,35 @@ func (db *DB) rollbackTxn(t *txn) {
 	db.rollbacks.Add(1)
 	t.aborted = true
 	t.undo = nil
+}
+
+// undoLocked reverts one data record. Caller holds the latch.
+func (db *DB) undoLocked(r wal.Record) {
+	tbl := db.tables[r.Table]
+	if tbl == nil {
+		return // table dropped after the change; nothing to restore
+	}
+	switch r.Type {
+	case wal.RecInsert:
+		tbl.heap.Delete(r.RID)
+		for _, ix := range tbl.indexes {
+			ix.tree.Delete(ix.keyOf(r.After), r.RID)
+		}
+	case wal.RecDelete:
+		tbl.heap.Put(r.RID, r.Before)
+		for _, ix := range tbl.indexes {
+			ix.tree.Insert(ix.keyOf(r.Before), r.RID)
+		}
+	case wal.RecUpdate:
+		tbl.heap.Put(r.RID, r.Before)
+		for _, ix := range tbl.indexes {
+			oldK, newK := ix.keyOf(r.Before), ix.keyOf(r.After)
+			if value.CompareKeys(oldK, newK) != 0 {
+				ix.tree.Delete(newK, r.RID)
+				ix.tree.Insert(oldK, r.RID)
+			}
+		}
+	}
 }
 
 // autoAbort is invoked when a statement hits a deadlock or lock timeout:

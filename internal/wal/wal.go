@@ -211,8 +211,8 @@ type Log struct {
 	// Scan-position cache for ReadFrom: every record at a byte offset
 	// below scanOff has LSN < scanLSN, so an incremental read for any
 	// lsn >= scanLSN can seek straight to scanOff instead of decoding
-	// the whole file again. Reset clears scanOff; both fields are only
-	// meaningful for file-backed logs.
+	// the whole file again. Both fields are only meaningful for
+	// file-backed logs.
 	scanLSN int64
 	scanOff int64
 
@@ -667,37 +667,6 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 		buf = buf[4+n:]
 	}
 	return recs, nil
-}
-
-// Reset truncates the log to empty after a checkpoint captured its state
-// elsewhere. LSN numbering continues monotonically. It is invalid while
-// transactions hold active log space.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.firstOffset) != 0 {
-		return fmt.Errorf("wal: cannot reset with %d active transactions", len(l.firstOffset))
-	}
-	if l.f == nil {
-		l.mem = nil
-		l.end = 0
-		return nil
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: reset: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: reset seek: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: reset sync: %w", err)
-	}
-	l.end = 0
-	// The file is empty again: the cached scan offset no longer points at
-	// a record boundary. LSNs continue monotonically, so keeping scanLSN
-	// is safe once the offset restarts at zero.
-	l.scanOff = 0
-	return nil
 }
 
 // Close releases the underlying file, if any.

@@ -263,54 +263,6 @@ func TestNextLSN(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reset.wal")
-	l, err := Open(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.Append(rec(1, RecInsert, "f", 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Reset is refused while a transaction holds log space.
-	if err := l.Reset(); err == nil {
-		t.Fatal("Reset succeeded with an active transaction")
-	}
-	if _, err := l.Append(Record{Txn: 1, Type: RecCommit}); err != nil {
-		t.Fatal(err)
-	}
-	lsnBefore := l.NextLSN()
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := l.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("records after reset = %d", len(recs))
-	}
-	// LSNs continue monotonically.
-	lsn, err := l.Append(rec(2, RecInsert, "f", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn < lsnBefore {
-		t.Fatalf("LSN went backwards: %d < %d", lsn, lsnBefore)
-	}
-	// In-memory logs reset too.
-	m, _ := Open("", 0)
-	m.Append(rec(1, RecInsert, "f", 1))
-	m.Append(Record{Txn: 1, Type: RecCommit})
-	if err := m.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if rs, _ := m.Records(); len(rs) != 0 {
-		t.Fatal("in-memory reset left records")
-	}
-}
-
 func TestEmptyRowsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.wal")
 	l, err := Open(path, 0)
@@ -374,34 +326,6 @@ func TestReadFromIncremental(t *testing.T) {
 			t.Fatalf("ReadFrom(0) after cache advance = %d records", len(recs))
 		}
 		l.Close()
-	}
-}
-
-func TestReadFromAfterReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rr.wal")
-	l, err := Open(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	l.Append(rec(1, RecInsert, "f", 1))
-	l.Append(Record{Txn: 1, Type: RecCommit})
-	if _, err := l.ReadFrom(1); err != nil { // advance the scan cache
-		t.Fatal(err)
-	}
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	lsn, err := l.Append(rec(2, RecInsert, "f", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := l.ReadFrom(lsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].LSN != lsn {
-		t.Fatalf("ReadFrom after Reset = %+v", recs)
 	}
 }
 

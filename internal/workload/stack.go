@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -507,25 +508,7 @@ func (st *Stack) Close() {
 func (st *Stack) EngineStats() engine.Stats {
 	var agg engine.Stats
 	for _, d := range st.DLFMs {
-		s := d.DB().Stats()
-		agg.Selects += s.Selects
-		agg.Inserts += s.Inserts
-		agg.Updates += s.Updates
-		agg.Deletes += s.Deletes
-		agg.Commits += s.Commits
-		agg.Rollbacks += s.Rollbacks
-		agg.TableScans += s.TableScans
-		agg.IndexScans += s.IndexScans
-		agg.RowsRead += s.RowsRead
-		agg.Rebinds += s.Rebinds
-		agg.Lock.Acquisitions += s.Lock.Acquisitions
-		agg.Lock.Waits += s.Lock.Waits
-		agg.Lock.Deadlocks += s.Lock.Deadlocks
-		agg.Lock.Timeouts += s.Lock.Timeouts
-		agg.Lock.Escalations += s.Lock.Escalations
-		agg.Log.Appends += s.Log.Appends
-		agg.Log.Bytes += s.Log.Bytes
-		agg.Log.LogFulls += s.Log.LogFulls
+		addFields(reflect.ValueOf(&agg).Elem(), reflect.ValueOf(d.DB().Stats()))
 	}
 	return agg
 }
@@ -534,24 +517,20 @@ func (st *Stack) EngineStats() engine.Stats {
 func (st *Stack) DLFMStats() core.Snapshot {
 	var agg core.Snapshot
 	for _, d := range st.DLFMs {
-		s := d.Stats()
-		agg.Links += s.Links
-		agg.Unlinks += s.Unlinks
-		agg.Backouts += s.Backouts
-		agg.Prepares += s.Prepares
-		agg.PrepareFails += s.PrepareFails
-		agg.Commits += s.Commits
-		agg.Aborts += s.Aborts
-		agg.Phase2Retries += s.Phase2Retries
-		agg.Phase2Giveups += s.Phase2Giveups
-		agg.Compensations += s.Compensations
-		agg.BatchCommits += s.BatchCommits
-		agg.ArchiveCopies += s.ArchiveCopies
-		agg.ChownOps += s.ChownOps
-		agg.Upcalls += s.Upcalls
-		agg.ReadOnlyVotes += s.ReadOnlyVotes
-		agg.OnePhaseCommits += s.OnePhaseCommits
-		agg.SelfResolved += s.SelfResolved
+		addFields(reflect.ValueOf(&agg).Elem(), reflect.ValueOf(d.Stats()))
 	}
 	return agg
+}
+
+// addFields adds every integer field of src into dst, nested structs
+// included, so an aggregate sums each counter its members report.
+func addFields(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		switch f := dst.Field(i); f.Kind() {
+		case reflect.Struct:
+			addFields(f, src.Field(i))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + src.Field(i).Int())
+		}
+	}
 }

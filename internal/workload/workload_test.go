@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -153,5 +154,89 @@ func TestResultString(t *testing.T) {
 	s := r.String()
 	if s == "" {
 		t.Fatal("empty result string")
+	}
+}
+
+// TestStackAggregatesSumEveryField checks, field by field, that the stack's
+// DLFM and engine aggregates equal the sum over its DLFMs.
+func TestStackAggregatesSumEveryField(t *testing.T) {
+	st := testStack(t, func(c *StackConfig) { c.Servers = []string{"fs1", "fs2"} })
+	for i, server := range []string{"fs1", "fs2"} {
+		r, err := NewRunner(st, Config{
+			Clients: 2, OpsPerClient: 10, Mix: DefaultMix(), PreloadRows: 5,
+			Server: server, Table: "wl_" + server, Seed: int64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The DLFMs' daemons keep counting in the background: compare only
+	// reads that no daemon moved in between.
+	read := func() (dlfms, engines []reflect.Value) {
+		for _, name := range sortedNames(st.DLFMs) {
+			d := st.DLFMs[name]
+			dlfms = append(dlfms, reflect.ValueOf(d.Stats()))
+			engines = append(engines, reflect.ValueOf(d.DB().Stats()))
+		}
+		return dlfms, engines
+	}
+	for attempt := 0; ; attempt++ {
+		dlfms, engines := read()
+		agg, eng := st.DLFMStats(), st.EngineStats()
+		again, againEng := read()
+		if !sameValues(dlfms, again) || !sameValues(engines, againEng) {
+			if attempt == 100 {
+				t.Fatal("DLFM counters never held still")
+			}
+			continue
+		}
+		checkSum(t, "DLFMStats", reflect.ValueOf(agg), dlfms)
+		checkSum(t, "EngineStats", reflect.ValueOf(eng), engines)
+		break
+	}
+	if st.DLFMStats().Links == 0 || st.EngineStats().Log.Syncs == 0 {
+		t.Fatal("the runs did no work on the DLFMs")
+	}
+}
+
+func sameValues(a, b []reflect.Value) bool {
+	for i := range a {
+		if a[i].Interface() != b[i].Interface() {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSum compares each integer field of agg, nested structs included,
+// with the sum of that field over parts.
+func checkSum(t *testing.T, path string, agg reflect.Value, parts []reflect.Value) {
+	t.Helper()
+	for i := 0; i < agg.NumField(); i++ {
+		name := path + "." + agg.Type().Field(i).Name
+		switch f := agg.Field(i); f.Kind() {
+		case reflect.Struct:
+			sub := make([]reflect.Value, len(parts))
+			for j, p := range parts {
+				sub[j] = p.Field(i)
+			}
+			checkSum(t, name, f, sub)
+		case reflect.Int, reflect.Int64:
+			var sum int64
+			for _, p := range parts {
+				sum += p.Field(i).Int()
+			}
+			if f.Int() != sum {
+				t.Errorf("%s = %d, want the sum over DLFMs %d", name, f.Int(), sum)
+			}
+		default:
+			t.Errorf("%s: unexpected field kind %s", name, f.Kind())
+		}
 	}
 }
