@@ -167,7 +167,11 @@ func (a *ChildAgent) Handle(req any) rpc.Response {
 	case rpc.ReconcileReq:
 		return a.srv.reconcile(a.conn, r)
 	case rpc.ReplFetchReq:
-		return a.srv.replFetch(r)
+		resp := ServeReplFetch(a.srv.db, r)
+		if resp.OK() {
+			a.srv.stats.ReplFetches.Add(1)
+		}
+		return resp
 	case rpc.MigrateManifestReq:
 		return a.migrateManifest()
 	case rpc.FetchFileReq:

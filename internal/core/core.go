@@ -28,7 +28,7 @@ import (
 )
 
 // Config tunes one DLFM instance. Defaults reproduce the paper's production
-// settings; benchmarks flip individual knobs for the ablation experiments.
+// settings; tests and bench workloads flip individual knobs.
 type Config struct {
 	// ServerName is the file-server host this DLFM manages.
 	ServerName string

@@ -16,12 +16,13 @@ var fpReplShip = fault.P("repl.ship")
 // replFetchDefaultMax bounds one ReplFetch batch when the client does not.
 const replFetchDefaultMax = 512
 
-// replFetch serves one replication fetch from the local write-ahead log:
+// ServeReplFetch serves one replication fetch from db's write-ahead log:
 // every record with LSN >= FromLSN, capped per batch, plus the log's next
 // LSN so the standby can measure its lag. The fetch is read-only and
 // idempotent — re-issuing it after a transport failure re-reads the same
-// records.
-func (s *Server) replFetch(r rpc.ReplFetchReq) rpc.Response {
+// records. The DLFM agent and the repl package's LogFeed both answer
+// ReplFetch through it.
+func ServeReplFetch(db *engine.DB, r rpc.ReplFetchReq) rpc.Response {
 	if err := fpReplShip.Fire(); err != nil {
 		return fail(err)
 	}
@@ -29,15 +30,14 @@ func (s *Server) replFetch(r rpc.ReplFetchReq) rpc.Response {
 	if max <= 0 {
 		max = replFetchDefaultMax
 	}
-	recs, err := s.db.WAL().ReadFrom(r.FromLSN)
+	recs, err := db.WAL().ReadFrom(r.FromLSN)
 	if err != nil {
 		return fail(err)
 	}
 	if len(recs) > max {
 		recs = recs[:max]
 	}
-	s.stats.ReplFetches.Add(1)
-	return rpc.Response{Data: wal.EncodeRecords(recs), LSN: s.db.WAL().NextLSN(), N: int64(len(recs))}
+	return rpc.Response{Data: wal.EncodeRecords(recs), LSN: db.WAL().NextLSN(), N: int64(len(recs))}
 }
 
 // isLinkedStandby answers the IsLinked upcall from the replicated metadata.

@@ -51,8 +51,8 @@ type HealthConfig struct {
 	// SLOBudget is the allowed violating fraction. Default 0.01.
 	SLOBudget float64
 	// SLOHist is the latency series the SLO is defined over. Default
-	// "storm_txn_seconds" (the open-loop storm harness's
-	// arrival-to-completion latency).
+	// "storm_txn_seconds" (the open-loop workload's arrival-to-completion
+	// latency).
 	SLOHist string
 	// OnChange, when set, fires on every member flag/clear transition —
 	// the hook the host router uses to deprioritize degraded members.

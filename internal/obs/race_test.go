@@ -33,7 +33,7 @@ func TestContention(t *testing.T) {
 				h.Observe(time.Duration(i%1000) * time.Microsecond)
 				named.Emit(int64(g), "bench", "op", "")
 				if i%500 == 0 {
-					_ = r.Snapshot()
+					_ = r.Export()
 					_ = tr.ByTxn(int64(g))
 				}
 			}

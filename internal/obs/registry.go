@@ -298,34 +298,3 @@ func (s *MetricsSnapshot) Merge(o MetricsSnapshot) error {
 	}
 	return errors.Join(errs...)
 }
-
-// Snapshot returns a JSON-friendly view of every metric: counters and
-// gauges as numbers, histograms as {count, sum_ms, p50_ms, p95_ms, p99_ms,
-// max_ms}. The bench harness emits it as the machine-readable BENCH line.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.hists))
-	for n, c := range r.counters {
-		out[n] = c.Load()
-	}
-	for n, g := range r.gauges {
-		out[n] = g.Load()
-	}
-	for n, f := range r.gaugeFns {
-		out[n] = f()
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	for n, h := range r.hists {
-		s := h.Summarize()
-		out[n] = map[string]any{
-			"count":  s.Count,
-			"sum_ms": ms(s.Sum),
-			"p50_ms": ms(s.P50),
-			"p95_ms": ms(s.P95),
-			"p99_ms": ms(s.P99),
-			"max_ms": ms(s.Max),
-		}
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -114,12 +115,43 @@ func TestSnapshot(t *testing.T) {
 	r := New()
 	r.Counter("a_total").Add(9)
 	r.Histogram("lat_seconds").Observe(time.Millisecond)
-	snap := r.Snapshot()
-	if snap["a_total"].(int64) != 9 {
-		t.Fatalf("snapshot a_total = %v", snap["a_total"])
+	snap := r.Export()
+	if snap.Counters["a_total"] != 9 {
+		t.Fatalf("snapshot a_total = %v", snap.Counters["a_total"])
 	}
-	hist := snap["lat_seconds"].(map[string]any)
-	if hist["count"].(int64) != 1 {
-		t.Fatalf("snapshot hist count = %v", hist["count"])
+	if n := snap.Hists["lat_seconds"].Count; n != 1 {
+		t.Fatalf("snapshot hist count = %v", n)
+	}
+}
+
+// A gauge function may block on its owner's lock while the owner registers
+// a metric (engine.Crash re-attaches the lock manager's counters under the
+// engine latch). Export evaluates gauge functions outside the registry
+// lock, so the two cannot deadlock.
+func TestExportGaugeFuncLockOrder(t *testing.T) {
+	r := New()
+	var owner sync.Mutex
+	entered := make(chan struct{})
+	r.GaugeFunc("owned", func() float64 {
+		close(entered)
+		owner.Lock()
+		defer owner.Unlock()
+		return 1
+	})
+	owner.Lock()
+	done := make(chan MetricsSnapshot, 1)
+	go func() { done <- r.Export() }()
+	<-entered
+	go func() {
+		r.Counter("registered_under_owner").Inc()
+		owner.Unlock()
+	}()
+	select {
+	case snap := <-done:
+		if snap.Gauges["owned"] != 1 {
+			t.Fatalf("owned = %v, want 1", snap.Gauges["owned"])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Export deadlocked against a gauge function whose owner registers a metric")
 	}
 }

@@ -3,18 +3,10 @@ package repl
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/rpc"
-	"repro/internal/wal"
 )
-
-// fpLogFeed fires on the log device before a fetch is served, sharing the
-// primary-side ship window with core's agent path.
-var fpLogFeed = fault.P("repl.ship")
-
-// logFeedDefaultMax bounds one batch when the client does not.
-const logFeedDefaultMax = 512
 
 // LogFeed serves ReplFetch directly from a database's write-ahead log. It
 // is the stand-in for the paper's shared durable log device: deployments
@@ -39,21 +31,7 @@ func (a logFeedAgent) Handle(req any) rpc.Response {
 	case rpc.PingReq:
 		return rpc.Response{}
 	case rpc.ReplFetchReq:
-		if err := fpLogFeed.Fire(); err != nil {
-			return rpc.Response{Code: "error", Msg: err.Error()}
-		}
-		max := r.Max
-		if max <= 0 {
-			max = logFeedDefaultMax
-		}
-		recs, err := a.db.WAL().ReadFrom(r.FromLSN)
-		if err != nil {
-			return rpc.Response{Code: "error", Msg: err.Error()}
-		}
-		if len(recs) > max {
-			recs = recs[:max]
-		}
-		return rpc.Response{Data: wal.EncodeRecords(recs), LSN: a.db.WAL().NextLSN(), N: int64(len(recs))}
+		return core.ServeReplFetch(a.db, r)
 	default:
 		return rpc.Response{Code: "error", Msg: fmt.Sprintf("logfeed: %s not served", rpc.Name(req))}
 	}

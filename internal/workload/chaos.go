@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -12,48 +14,45 @@ import (
 	"repro/internal/obs"
 )
 
-// Chaos soak mode: the E1 multi-client workload runs while a seeded
-// injector kills and restarts DLFMs and drops live connections. Afterwards
-// the harness drains every indoubt transaction and asserts the cross-system
-// invariant the paper's recovery design guarantees (Section 3.3): each
-// linked DATALINK value has exactly one linked DLFM entry and a real file,
-// and no DLFM entry or prepared transaction is left orphaned.
+// The soak: the E1 multi-client workload runs split over the stack's DLFMs
+// while an optional seeded injector kills and restarts DLFMs and drops live
+// connections, and an optional During hook runs a scenario of its own (a
+// failover, an online drain). Afterwards the harness drains every indoubt
+// transaction and asserts the cross-system invariant the paper's recovery
+// design guarantees (Section 3.3): each linked DATALINK value has exactly
+// one linked DLFM entry and a real file, and no DLFM entry or prepared
+// transaction is left orphaned.
 
-// ChaosConfig controls one soak run. Zero values get defaults sized to
-// Duration, so `ChaosConfig{Seed: 1, Duration: 10 * time.Second}` works.
+// ChaosConfig controls one soak run. Config's Clients (default 100) and
+// open-loop Rate and Sessions are split over the targets: one runner per
+// DLFM, each on its own table named Table_i (default "chaos_i"), or, on a
+// clustered stack, as many runners addressing the logical namespace.
+// Duration defaults to 5s; Server and PathPrefix are set per runner.
 type ChaosConfig struct {
-	// Clients is the total client count, split evenly across the stack's
-	// DLFMs (one workload table per server, so every server is loaded and
-	// every kill lands on live traffic).
-	Clients     int
-	Duration    time.Duration
-	Seed        int64
-	Mix         Mix
-	TablePrefix string
-	PreloadRows int
+	Config
 
-	// KillInterval is the mean time between DLFM kills; a killed server
-	// stays down for DownTime before restarting. DropInterval is the mean
-	// time between armings of the rpc.recv.before drop fault (each arming
-	// severs the next two answered calls somewhere in the stack).
+	// KillInterval is the mean time between DLFM kills (zero: none); a
+	// killed server stays down for DownTime before restarting.
+	// DropInterval is the mean time between armings of the rpc.recv.before
+	// drop fault (zero: none); each arming severs the next two answered
+	// calls somewhere in the stack.
 	KillInterval time.Duration
 	DownTime     time.Duration
 	DropInterval time.Duration
-
 	// KillExclude names members the injector must not kill — the source of
 	// an online drain has to stay reachable for its slots to move off it.
 	KillExclude []string
-	// During, when set, runs in its own goroutine alongside the workload —
-	// the slot for online membership operations under chaos. RunChaos waits
-	// for it to return before draining indoubts and checking consistency,
-	// and reports its error as a harness failure.
-	During func(st *Stack) error
+
+	// During, when set, runs in its own goroutine alongside the workload;
+	// done closes once the workload has finished and the injector has
+	// stopped. RunChaos waits for During to return before draining indoubts
+	// and checking consistency, and reports its error as a harness failure.
+	During func(st *Stack, done <-chan struct{}) error
 
 	// SkipDrain leaves prepared transactions exactly as the workload left
 	// them: no ResolveIndoubts rounds, no leftover-indoubt violation, and
 	// no consistency check (meaningless mid-resolution). LeftoverIndoubts
-	// still reports the count — the commit-protocol experiment reads it as
-	// the wedged-transaction measurement before draining by hand.
+	// still reports the count.
 	SkipDrain bool
 }
 
@@ -72,8 +71,9 @@ type ChaosResult struct {
 }
 
 // RunChaos executes the soak against st. The returned error covers harness
-// failures (a client died on a non-retryable error, drain failed); invariant
-// violations are reported in the result, not as an error.
+// failures (a client died on a non-retryable error, During or the drain
+// failed); invariant violations are reported in the result, not as an
+// error.
 func RunChaos(st *Stack, cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 100
@@ -81,31 +81,18 @@ func RunChaos(st *Stack, cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 5 * time.Second
 	}
-	if cfg.TablePrefix == "" {
-		cfg.TablePrefix = "chaos"
+	if cfg.Table == "" {
+		cfg.Table = "chaos"
 	}
 	if cfg.Mix == (Mix{}) {
 		cfg.Mix = DefaultMix()
 	}
-	if cfg.KillInterval <= 0 {
-		cfg.KillInterval = maxDur(cfg.Duration/5, 200*time.Millisecond)
-	}
 	if cfg.DownTime <= 0 {
-		cfg.DownTime = maxDur(cfg.KillInterval/3, 50*time.Millisecond)
+		cfg.DownTime = max(cfg.KillInterval/3, 50*time.Millisecond)
 	}
-	if cfg.DropInterval <= 0 {
-		cfg.DropInterval = maxDur(cfg.Duration/10, 50*time.Millisecond)
+	if cfg.Rate > 0 && cfg.Sessions <= 0 {
+		cfg.Sessions = max(int(cfg.Rate*cfg.Duration.Seconds()), 1)
 	}
-
-	// Chaos event counters ride on the process registry so the BENCH line
-	// carries them.
-	var kills, drops, injected, resolved, violated obs.Counter
-	reg := obs.Default()
-	reg.RegisterCounter("chaos_kills_total", &kills)
-	reg.RegisterCounter("chaos_drop_arms_total", &drops)
-	reg.RegisterCounter("chaos_faults_injected_total", &injected)
-	reg.RegisterCounter("chaos_indoubts_resolved_total", &resolved)
-	reg.RegisterCounter("chaos_violations_total", &violated)
 
 	fault.Default().Seed(cfg.Seed)
 	firedBefore := fault.Default().Injected()
@@ -120,70 +107,49 @@ func RunChaos(st *Stack, cfg ChaosConfig) (ChaosResult, error) {
 			targets[i] = st.ClusterName
 		}
 	}
-	shares := splitClients(cfg.Clients, len(targets))
-	runners := make([]*Runner, 0, len(targets))
-	tables := make([]string, 0, len(targets))
-	for i, target := range targets {
-		if shares[i] == 0 {
-			continue
+	// Every runner gets at least one client (and one arrival).
+	n := min(len(targets), cfg.Clients)
+	if cfg.Rate > 0 {
+		n = min(n, cfg.Sessions)
+	}
+	shares := splitClients(cfg.Clients, n)
+	sessions := splitClients(cfg.Sessions, n)
+	lat := obs.NewHistogram()
+	runners := make([]*Runner, n)
+	tables := make([]string, n)
+	for i := range runners {
+		rc := cfg.Config
+		rc.Clients = shares[i]
+		rc.Server = targets[i]
+		rc.Table = fmt.Sprintf("%s_%d", cfg.Table, i)
+		rc.PathPrefix = "/" + rc.Table
+		rc.Seed = cfg.Seed + int64(i)*1001
+		rc.Sessions = sessions[i]
+		if cfg.Rate > 0 {
+			rc.Rate = cfg.Rate * float64(sessions[i]) / float64(cfg.Sessions)
 		}
-		table := fmt.Sprintf("%s_%d", cfg.TablePrefix, i)
-		r, err := NewRunner(st, Config{
-			Clients:     shares[i],
-			Duration:    cfg.Duration,
-			Mix:         cfg.Mix,
-			Server:      target,
-			Table:       table,
-			PathPrefix:  "/" + table,
-			PreloadRows: cfg.PreloadRows,
-			Seed:        cfg.Seed + int64(i)*1001,
-		})
+		r, err := NewRunner(st, rc)
 		if err != nil {
 			return ChaosResult{}, err
 		}
 		if err := r.Prepare(); err != nil {
 			return ChaosResult{}, err
 		}
-		runners = append(runners, r)
-		tables = append(tables, table)
+		r.lat = lat
+		runners[i], tables[i] = r, rc.Table
 	}
 
-	// The injector: one goroutine, all decisions from one seeded PRNG, so a
-	// given seed replays the same kill/drop schedule.
-	killable := make([]string, 0, len(names))
-	excluded := make(map[string]bool, len(cfg.KillExclude))
-	for _, n := range cfg.KillExclude {
-		excluded[n] = true
-	}
-	for _, n := range names {
-		if !excluded[n] {
-			killable = append(killable, n)
-		}
-	}
-	if len(killable) == 0 {
-		killable = names
-	}
-	stopInjector := startInjector(st, injectorConfig{
-		Seed:         cfg.Seed,
-		KillInterval: cfg.KillInterval,
-		DownTime:     cfg.DownTime,
-		DropInterval: cfg.DropInterval,
-		Killable:     killable,
-	}, &kills, &drops)
-
-	var duringErr error
-	duringDone := make(chan struct{})
+	stopInjector := startInjector(st, cfg)
+	done := make(chan struct{})
+	duringErr := make(chan error, 1)
 	if cfg.During != nil {
-		go func() {
-			defer close(duringDone)
-			duringErr = cfg.During(st)
-		}()
+		go func() { duringErr <- cfg.During(st, done) }()
 	} else {
-		close(duringDone)
+		duringErr <- nil
 	}
 
-	results := make([]Result, len(runners))
-	errs := make([]error, len(runners))
+	results := make([]Result, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i, r := range runners {
 		wg.Add(1)
@@ -193,91 +159,52 @@ func RunChaos(st *Stack, cfg ChaosConfig) (ChaosResult, error) {
 		}(i, r)
 	}
 	wg.Wait()
-	stopInjector()
-	for _, name := range names {
-		st.Restart(name)
-	}
-	// A membership operation may outlast the workload; the consistency check
-	// below needs a quiesced stack, so wait it out first.
-	<-duringDone
+	var res ChaosResult
+	res.Kills, res.DropArms = stopInjector()
+	close(done)
+	// The scenario may outlast the workload; the consistency check below
+	// needs a quiesced stack, so wait it out first.
+	scenarioErr := <-duringErr
 
-	res := ChaosResult{
-		Workload:       mergeResults(results, cfg.Duration),
-		Kills:          kills.Load(),
-		DropArms:       drops.Load(),
-		FaultsInjected: fault.Default().Injected() - firedBefore,
+	for _, r := range results {
+		addFields(reflect.ValueOf(&res.Workload).Elem(), reflect.ValueOf(r))
 	}
-	injected.Add(res.FaultsInjected)
-	for _, err := range errs {
-		if err != nil {
-			return res, fmt.Errorf("workload: chaos soak: %w", err)
-		}
+	res.Workload.summarize(lat)
+	res.FaultsInjected = fault.Default().Injected() - firedBefore
+	if err := errors.Join(errs...); err != nil {
+		return res, fmt.Errorf("workload: soak: %w", err)
 	}
-	if duringErr != nil {
-		return res, fmt.Errorf("workload: chaos membership op: %w", duringErr)
+	if scenarioErr != nil {
+		return res, fmt.Errorf("workload: soak scenario: %w", scenarioErr)
 	}
 
 	if cfg.SkipDrain {
-		res.LeftoverIndoubts = countPrepared(st)
+		res.LeftoverIndoubts = st.PreparedTxns()
 		res.Phase2Giveups = st.DLFMStats().Phase2Giveups
 		return res, nil
 	}
-
-	var drainErr error
-	res.IndoubtsResolved, res.LeftoverIndoubts, drainErr = drainIndoubts(st)
-	if drainErr != nil {
-		return res, fmt.Errorf("workload: chaos drain: %w", drainErr)
+	var err error
+	res.IndoubtsResolved, res.LeftoverIndoubts, err = st.DrainIndoubts()
+	if err != nil {
+		return res, fmt.Errorf("workload: soak drain: %w", err)
 	}
-	resolved.Add(int64(res.IndoubtsResolved))
 	res.Phase2Giveups = st.DLFMStats().Phase2Giveups
-
 	if res.LeftoverIndoubts > 0 {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("%d prepared transactions remain after drain", res.LeftoverIndoubts))
 	}
 	vs, err := CheckConsistency(st, tables...)
 	if err != nil {
-		return res, fmt.Errorf("workload: chaos consistency check: %w", err)
+		return res, fmt.Errorf("workload: soak consistency check: %w", err)
 	}
 	res.Violations = append(res.Violations, vs...)
-	violated.Add(int64(len(res.Violations)))
 	return res, nil
-}
-
-// mergeResults sums the per-server runs into one report; latency
-// percentiles are conservative (worst server wins).
-func mergeResults(rs []Result, dur time.Duration) Result {
-	var m Result
-	m.Duration = dur
-	for _, r := range rs {
-		m.Ops += r.Ops
-		m.Commits += r.Commits
-		m.Rollback += r.Rollback
-		m.Retries += r.Retries
-		m.Inserts += r.Inserts
-		m.Updates += r.Updates
-		m.Deletes += r.Deletes
-		m.Reads += r.Reads
-		m.LatencyP50 = maxDur(m.LatencyP50, r.LatencyP50)
-		m.LatencyP95 = maxDur(m.LatencyP95, r.LatencyP95)
-		m.LatencyP99 = maxDur(m.LatencyP99, r.LatencyP99)
-		m.LatencyMax = maxDur(m.LatencyMax, r.LatencyMax)
-	}
-	if mins := dur.Minutes(); mins > 0 {
-		m.InsertsPerMin = float64(m.Inserts) / mins
-		m.UpdatesPerMin = float64(m.Updates) / mins
-		m.OpsPerSec = float64(m.Ops) / dur.Seconds()
-	}
-	return m
 }
 
 // PreparedTxns totals prepared ('P') transaction entries across all DLFMs —
 // the wedged-transaction gauge the commit-protocol experiment polls while
 // deciding whether participants can settle without the coordinator.
-func (st *Stack) PreparedTxns() int { return countPrepared(st) }
-
-// countPrepared totals prepared ('P') transaction entries across all DLFMs.
-func countPrepared(st *Stack) int {
+func (st *Stack) PreparedTxns() int {
 	n := 0
 	for _, d := range st.DLFMs {
 		rows, err := d.DB().DumpTable("dlfm_txn")
@@ -291,6 +218,27 @@ func countPrepared(st *Stack) int {
 		}
 	}
 	return n
+}
+
+// DrainIndoubts re-drives indoubt resolution until no DLFM holds a prepared
+// transaction (presumed abort settles the ones with no recorded outcome;
+// recorded commits are re-driven to completion). Later rounds back off with
+// jitter — a just-restarted DLFM needs recovery time, and hammering it every
+// 20ms only serializes behind its log replay.
+func (st *Stack) DrainIndoubts() (resolved, leftover int, err error) {
+	bo := fault.Backoff{Base: 20 * time.Millisecond, Cap: 250 * time.Millisecond}
+	for round := 0; round < 100; round++ {
+		n, err := st.Host.ResolveIndoubts()
+		if err != nil {
+			return resolved, leftover, err
+		}
+		resolved += n
+		if leftover = st.PreparedTxns(); leftover == 0 {
+			break
+		}
+		time.Sleep(bo.Delay(round))
+	}
+	return resolved, leftover, nil
 }
 
 // CheckConsistency asserts the cross-system invariant over the given host
@@ -425,23 +373,23 @@ func CheckConsistency(st *Stack, tables ...string) ([]string, error) {
 	return violations, nil
 }
 
-// injectorConfig parameterizes the seeded kill/drop injector shared by the
-// chaos soak and the storm harness. An interval of zero disables that event
-// class.
-type injectorConfig struct {
-	Seed         int64
-	KillInterval time.Duration
-	DownTime     time.Duration
-	DropInterval time.Duration
-	Killable     []string
-}
-
-// startInjector launches the injector: one goroutine, all decisions from one
-// seeded PRNG, so a given seed replays the same kill/drop schedule. The
-// returned stop function halts it, waits for it to exit, and disarms any
-// leftover drop fault; callers restart killed members themselves (the
-// injector restarts its own victim on the way out).
-func startInjector(st *Stack, cfg injectorConfig, kills, drops *obs.Counter) (stop func()) {
+// startInjector launches the kill/drop injector: one goroutine, all
+// decisions from one seeded PRNG, so a given seed replays the same
+// schedule. The returned stop function halts it, waits for it to exit
+// (restarting a member it left down), disarms any leftover drop fault, and
+// reports how many kills and drop armings it made.
+func startInjector(st *Stack, cfg ChaosConfig) (stop func() (kills, drops int64)) {
+	excluded := make(map[string]bool, len(cfg.KillExclude))
+	for _, n := range cfg.KillExclude {
+		excluded[n] = true
+	}
+	var killable []string
+	for _, n := range sortedNames(st.DLFMs) {
+		if !excluded[n] {
+			killable = append(killable, n)
+		}
+	}
+	var kills, drops int64
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -449,7 +397,7 @@ func startInjector(st *Stack, cfg injectorConfig, kills, drops *obs.Counter) (st
 		rng := rand.New(rand.NewSource(cfg.Seed*7919 + 1))
 		var killC, dropC <-chan time.Time
 		var nextKill, nextDrop *time.Timer
-		if cfg.KillInterval > 0 && len(cfg.Killable) > 0 {
+		if cfg.KillInterval > 0 && len(killable) > 0 {
 			nextKill = time.NewTimer(jitterDur(rng, cfg.KillInterval))
 			defer nextKill.Stop()
 			killC = nextKill.C
@@ -464,9 +412,9 @@ func startInjector(st *Stack, cfg injectorConfig, kills, drops *obs.Counter) (st
 			case <-quit:
 				return
 			case <-killC:
-				name := cfg.Killable[rng.Intn(len(cfg.Killable))]
+				name := killable[rng.Intn(len(killable))]
 				st.Kill(name)
-				kills.Add(1)
+				kills++
 				select {
 				case <-time.After(jitterDur(rng, cfg.DownTime)):
 				case <-quit:
@@ -477,37 +425,17 @@ func startInjector(st *Stack, cfg injectorConfig, kills, drops *obs.Counter) (st
 				nextKill.Reset(jitterDur(rng, cfg.KillInterval))
 			case <-dropC:
 				fault.Default().Arm("rpc.recv.before", fault.Action{Drop: true}, fault.Times(2))
-				drops.Add(1)
+				drops++
 				nextDrop.Reset(jitterDur(rng, cfg.DropInterval))
 			}
 		}
 	}()
-	return func() {
+	return func() (int64, int64) {
 		close(quit)
 		<-done
 		fault.Default().Disarm("rpc.recv.before")
+		return kills, drops
 	}
-}
-
-// drainIndoubts re-drives indoubt resolution until no DLFM holds a prepared
-// transaction (presumed abort settles the ones with no recorded outcome;
-// recorded commits are re-driven to completion). Later rounds back off with
-// jitter — a just-restarted DLFM needs recovery time, and hammering it every
-// 20ms only serializes behind its log replay.
-func drainIndoubts(st *Stack) (resolved, leftover int, err error) {
-	bo := fault.Backoff{Base: 20 * time.Millisecond, Cap: 250 * time.Millisecond}
-	for round := 0; round < 100; round++ {
-		n, err := st.Host.ResolveIndoubts()
-		if err != nil {
-			return resolved, leftover, err
-		}
-		resolved += n
-		if leftover = countPrepared(st); leftover == 0 {
-			break
-		}
-		time.Sleep(bo.Delay(round))
-	}
-	return resolved, leftover, nil
 }
 
 // jitterDur spreads d over [d/2, 3d/2) so injector events do not beat in
@@ -517,11 +445,4 @@ func jitterDur(rng *rand.Rand, d time.Duration) time.Duration {
 		return 0
 	}
 	return d/2 + time.Duration(rng.Int63n(int64(d)))
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

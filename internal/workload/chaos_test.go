@@ -35,10 +35,7 @@ func TestChaosSmoke(t *testing.T) {
 	defer st.Close()
 
 	res, err := RunChaos(st, ChaosConfig{
-		Clients:      8,
-		Duration:     1500 * time.Millisecond,
-		Seed:         1,
-		PreloadRows:  20,
+		Config:       Config{Clients: 8, Duration: 1500 * time.Millisecond, Seed: 1, PreloadRows: 20},
 		KillInterval: 300 * time.Millisecond,
 		DownTime:     80 * time.Millisecond,
 		DropInterval: 150 * time.Millisecond,

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -51,16 +52,10 @@ func TestClusterWorkloadSpreads(t *testing.T) {
 	}
 
 	spread := 0
-	for name, d := range st.DLFMs {
-		rows, err := d.DB().DumpTable("dlfm_file")
+	for name := range st.DLFMs {
+		linked, err := countLinked(st, name)
 		if err != nil {
 			t.Fatal(err)
-		}
-		linked := 0
-		for _, row := range rows {
-			if row[6].Text() == "L" && row[7].Int64() == 0 {
-				linked++
-			}
 		}
 		t.Logf("%s: %d linked entries", name, linked)
 		if linked > 0 {
@@ -117,39 +112,85 @@ func TestClusterSoakDrain(t *testing.T) {
 	}
 	defer st.Close()
 
-	res, err := RunClusterSoak(st, ClusterSoakConfig{
-		Chaos: ChaosConfig{
-			Clients:      9,
-			Duration:     2 * time.Second,
-			Seed:         7,
-			PreloadRows:  25,
-			KillInterval: 400 * time.Millisecond,
-			DownTime:     80 * time.Millisecond,
-			DropInterval: 200 * time.Millisecond,
+	// The last member drains out online. Kills spare it: its slots cannot
+	// move off a dead source.
+	const member = "fs3"
+	const duration = 2 * time.Second
+	var drained, rounds int
+	res, err := RunChaos(st, ChaosConfig{
+		Config:       Config{Clients: 9, Duration: duration, Seed: 7, PreloadRows: 25},
+		KillInterval: 400 * time.Millisecond,
+		DownTime:     80 * time.Millisecond,
+		DropInterval: 200 * time.Millisecond,
+		KillExclude:  []string{member},
+		During: func(st *Stack, _ <-chan struct{}) error {
+			// Start draining once the member holds a linked entry, so the
+			// move exercises real data, but wait no longer than a quarter
+			// of the run.
+			for deadline := time.Now().Add(duration / 4); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+				if n, err := countLinked(st, member); err == nil && n > 0 {
+					break
+				}
+			}
+			var lastErr error
+			bo := fault.Backoff{Base: 50 * time.Millisecond, Cap: 500 * time.Millisecond}
+			for rounds = 1; rounds <= 50; rounds++ {
+				n, err := st.Host.DrainDLFM(st.ClusterName, member)
+				drained += n
+				if err == nil {
+					return nil
+				}
+				lastErr = err
+				// A kill mid-move can leave the migration transaction
+				// prepared on one side; settle it (presumed abort), then
+				// retry the member's remaining slots, backing off so a
+				// killed member has time to come back.
+				st.Host.ResolveIndoubts() //nolint:errcheck
+				time.Sleep(bo.Delay(rounds - 1))
+			}
+			return fmt.Errorf("drain of %s incomplete after 50 rounds: %w", member, lastErr)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("cluster soak: ops=%d kills=%d drained=%d files in %d rounds, giveups=%d",
-		res.Chaos.Workload.Ops, res.Chaos.Kills, res.DrainedFiles, res.DrainRounds,
-		res.Chaos.Phase2Giveups)
-	if res.Chaos.Workload.Ops == 0 {
+		res.Workload.Ops, res.Kills, drained, rounds, res.Phase2Giveups)
+	if res.Workload.Ops == 0 {
 		t.Error("soak performed no operations")
 	}
-	if res.DrainRounds == 0 {
+	if rounds == 0 {
 		t.Error("drain never ran")
 	}
-	if m := st.Host.Cluster(st.ClusterName); m.HasMember(res.DrainMember) {
-		t.Errorf("member %s still in the cluster", res.DrainMember)
+	if m := st.Host.Cluster(st.ClusterName); m.HasMember(member) {
+		t.Errorf("member %s still in the cluster", member)
 	}
-	if res.Chaos.Phase2Giveups != 0 {
-		t.Errorf("Phase2Giveups = %d, want 0", res.Chaos.Phase2Giveups)
+	if left, err := countLinked(st, member); err != nil || left > 0 {
+		t.Errorf("drained member %s still holds %d linked entries (%v)", member, left, err)
 	}
-	if res.Chaos.LeftoverIndoubts != 0 {
-		t.Errorf("LeftoverIndoubts = %d, want 0 after drain", res.Chaos.LeftoverIndoubts)
+	if res.Phase2Giveups != 0 {
+		t.Errorf("Phase2Giveups = %d, want 0", res.Phase2Giveups)
 	}
-	for _, v := range res.Chaos.Violations {
+	if res.LeftoverIndoubts != 0 {
+		t.Errorf("LeftoverIndoubts = %d, want 0 after drain", res.LeftoverIndoubts)
+	}
+	for _, v := range res.Violations {
 		t.Errorf("invariant violation: %s", v)
 	}
+}
+
+// countLinked counts the member's live linked entries (dlfm_file rows in
+// state L with a zero transaction mark).
+func countLinked(st *Stack, member string) (int, error) {
+	rows, err := st.DLFMs[member].DB().DumpTable("dlfm_file")
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, r := range rows {
+		if r[6].Text() == "L" && r[7].Int64() == 0 {
+			n++
+		}
+	}
+	return n, nil
 }

@@ -33,19 +33,37 @@ func newStandbyStack(t *testing.T, servers ...string) *Stack {
 }
 
 // TestFailoverSoak kills a primary for good mid-run, fails over to its
-// standby, drains, and holds the consistency invariant with zero lost
-// committed links.
+// standby once the workload stops, drains, and holds the consistency
+// invariant with zero lost committed links.
 func TestFailoverSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover soak in -short mode")
 	}
 	st := newStandbyStack(t, "fs1", "fs2")
-	res, err := RunFailover(st, FailoverConfig{
-		Clients:     16,
-		Duration:    2 * time.Second,
-		Seed:        1,
-		PreloadRows: 20,
-		KillAfter:   600 * time.Millisecond,
+	const victim = "fs1"
+	sb := st.Standbys[victim]
+	var failedOver bool
+	res, err := RunChaos(st, ChaosConfig{
+		Config: Config{Clients: 16, Duration: 2 * time.Second, Seed: 1, PreloadRows: 20, Table: "fo"},
+		During: func(st *Stack, done <-chan struct{}) error {
+			select {
+			case <-time.After(600 * time.Millisecond):
+				st.KillForever(victim)
+			case <-done:
+			}
+			<-done
+			// The threshold normally trips during the run; a quiet run
+			// (victim died with no traffic left) fails over here so the
+			// drain has a primary.
+			if err := st.Host.Failover(victim); err != nil {
+				return err
+			}
+			failedOver = st.Host.FailedOver(victim)
+			// The promoted standby is now the victim's DLFM of record: the
+			// drain and the consistency check read it from here on.
+			st.DLFMs[victim] = sb.Server()
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,19 +71,22 @@ func TestFailoverSoak(t *testing.T) {
 	for _, v := range res.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if !res.FailedOver {
+	if !failedOver {
 		t.Fatal("host never failed over")
 	}
-	if res.ApplyLSN == 0 {
+	if sb.ApplyLSN() == 0 {
 		t.Fatal("standby applied nothing")
+	}
+	if n := sb.Server().Stats().Promotes; n != 1 {
+		t.Errorf("expected 1 promotion, saw %d", n)
 	}
 	// The promoted standby must have finished real 2PC work after taking
 	// over (commits driven by post-failover traffic or the indoubt drain).
-	if got := st.DLFMs[res.Victim].Stats().Commits; got == 0 {
+	if got := st.DLFMs[victim].Stats().Commits; got == 0 {
 		t.Error("promoted standby completed no phase-2 commits")
 	}
 	t.Logf("failover soak: %s; promoted applyLSN=%d indoubts=%d failovers=%d fs2FailedOver=%v",
-		res.Workload, res.ApplyLSN, res.IndoubtsResolved,
+		res.Workload, sb.ApplyLSN(), res.IndoubtsResolved,
 		st.Host.Stats().Failovers, st.Host.FailedOver("fs2"))
 }
 
@@ -151,9 +172,9 @@ func TestResolveIndoubtsAgainstPromotedStandby(t *testing.T) {
 
 	// Failover already ran one resolution pass; drain any stragglers.
 	deadline = time.Now().Add(5 * time.Second)
-	for countPrepared(st) > 0 {
+	for st.PreparedTxns() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d prepared transactions never drained", countPrepared(st))
+			t.Fatalf("%d prepared transactions never drained", st.PreparedTxns())
 		}
 		if _, err := st.Host.ResolveIndoubts(); err != nil {
 			t.Fatal(err)

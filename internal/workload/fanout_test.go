@@ -104,13 +104,13 @@ func runFanoutSessions(t *testing.T, st *Stack, servers []string, n, ops int) {
 // cross-system invariant.
 func drainAndCheck(t *testing.T, st *Stack) {
 	t.Helper()
-	for i := 0; i < 100 && countPrepared(st) > 0; i++ {
+	for i := 0; i < 100 && st.PreparedTxns() > 0; i++ {
 		if _, err := st.Host.ResolveIndoubts(); err != nil {
 			t.Fatalf("ResolveIndoubts: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if left := countPrepared(st); left != 0 {
+	if left := st.PreparedTxns(); left != 0 {
 		t.Fatalf("%d transactions still prepared after drain", left)
 	}
 	violations, err := CheckConsistency(st, "fan")

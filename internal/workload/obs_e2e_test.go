@@ -94,14 +94,9 @@ func TestTracedCommitChain(t *testing.T) {
 
 func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
 	t.Helper()
-	snap := reg.Snapshot()
-	v, exists := snap[name]
+	v, exists := reg.Export().Counters[name]
 	if !exists {
-		t.Fatalf("metric %s not registered", name)
+		t.Fatalf("metric %s not registered as a counter", name)
 	}
-	n, isInt := v.(int64)
-	if !isInt {
-		t.Fatalf("metric %s is %T, want counter", name, v)
-	}
-	return n
+	return v
 }

@@ -676,15 +676,11 @@ func wedgedAfterCoordinatorCrashes(t *testing.T, proto string) int {
 	fault.Default().Arm(point, fault.Action{}, fault.Prob(0.15))
 	// No kills or drops: every wedged transaction is the coordinator crash's.
 	_, err := RunChaos(st, ChaosConfig{
-		Clients:      8,
-		Duration:     500 * time.Millisecond,
-		Seed:         1,
-		PreloadRows:  50,
-		TablePrefix:  "cp",
-		Mix:          Mix{InsertPct: 20, UpdatePct: 70, DeletePct: 5},
-		KillInterval: 24 * time.Hour,
-		DropInterval: 24 * time.Hour,
-		SkipDrain:    true,
+		Config: Config{
+			Clients: 8, Duration: 500 * time.Millisecond, Seed: 1, PreloadRows: 50,
+			Table: "cp", Mix: Mix{InsertPct: 20, UpdatePct: 70, DeletePct: 5},
+		},
+		SkipDrain: true,
 	})
 	fault.Default().Disarm(point)
 	if err != nil {
@@ -700,14 +696,9 @@ func wedgedAfterCoordinatorCrashes(t *testing.T, proto string) int {
 	}
 
 	// Now the host drains what is left, and the invariant must hold.
-	bo := fault.Backoff{Base: 20 * time.Millisecond, Cap: 250 * time.Millisecond}
-	for round := 0; round < 100 && st.PreparedTxns() > 0; round++ {
-		if _, err := st.Host.ResolveIndoubts(); err != nil {
-			t.Fatalf("%s: drain: %v", proto, err)
-		}
-		time.Sleep(bo.Delay(round))
-	}
-	if left := st.PreparedTxns(); left > 0 {
+	if _, left, err := st.DrainIndoubts(); err != nil {
+		t.Fatalf("%s: drain: %v", proto, err)
+	} else if left > 0 {
 		t.Fatalf("%s: %d transactions still prepared after the explicit drain", proto, left)
 	}
 	vs, err := CheckConsistency(st, "cp_0", "cp_1")
@@ -741,7 +732,7 @@ func shapeFleetLocalization(t *testing.T) {
 	})
 
 	// One admin server per member, as if each ran in its own process. The
-	// host's carries the process-wide registry, where the storm harness
+	// host's carries the process-wide registry, where an open-loop run
 	// publishes its latency series.
 	var sources []fleet.Source
 	for _, m := range []string{"host", "fs1", "fs2", "fs3"} {
@@ -781,7 +772,11 @@ func shapeFleetLocalization(t *testing.T) {
 	t.Cleanup(func() { fleetSrv.Close() })
 	fleetBase := "http://" + fleetSrv.Addr()
 
-	storm, err := RunStorm(st, StormConfig{Rate: 400, Sessions: 400, SLO: 250 * time.Millisecond, Seed: 164, PreloadRows: 150})
+	// 400 arrivals at 400/s over a 64-session pool, 150 preloaded rows
+	// spread over the three storm_i tables.
+	storm, err := RunChaos(st, ChaosConfig{Config: Config{
+		Clients: 64, Rate: 400, Sessions: 400, Seed: 164, PreloadRows: 50, Table: "storm",
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -887,7 +882,7 @@ func pathOwnedBy(st *Stack, member string, seq int64) (string, bool) {
 	return "", false
 }
 
-// linkOnce links path in one transaction on the storm's table and returns
+// linkOnce links path in one transaction on a storm table and returns
 // the transaction id, which is the fleet-wide trace key.
 func linkOnce(st *Stack, path string, id int64) (int64, error) {
 	for _, fs := range st.CreateTargets(st.ClusterName, path) {
@@ -895,7 +890,7 @@ func linkOnce(st *Stack, path string, id int64) (int64, error) {
 	}
 	s := st.Host.Session()
 	defer s.Close()
-	if _, err := s.Exec(`INSERT INTO storm (id, owner, doc) VALUES (?, ?, ?)`,
+	if _, err := s.Exec(`INSERT INTO storm_0 (id, owner, doc) VALUES (?, ?, ?)`,
 		value.Int(id), value.Int(0), value.Str(hostdb.URL(st.ClusterName, path))); err != nil {
 		s.Rollback()
 		return 0, err

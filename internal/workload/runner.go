@@ -3,7 +3,9 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +30,11 @@ func DefaultMix() Mix { return Mix{InsertPct: 40, UpdatePct: 25, DeletePct: 10} 
 // Config controls one workload run.
 type Config struct {
 	// Clients is the number of concurrent application sessions (the
-	// paper's system test used 100).
+	// paper's system test used 100). In open-loop mode it is the pool of
+	// sessions the arrivals queue for.
 	Clients int
 	// Duration bounds the run; with OpsPerClient == 0 clients loop until
-	// it elapses.
+	// it elapses. In open-loop mode it sizes Sessions when that is zero.
 	Duration time.Duration
 	// OpsPerClient, when > 0, runs a fixed number of operations instead.
 	OpsPerClient int
@@ -55,26 +58,33 @@ type Config struct {
 	TxnOps int
 	// Seed makes runs reproducible.
 	Seed int64
+
+	// Rate, when > 0, opens the loop: transactions arrive as a Poisson
+	// process at Rate per second whatever the system's pace, wait for a
+	// free client, and are timed from arrival — queueing included, the
+	// latency a caller actually sees. Closed-loop clients slow down with
+	// the system, so saturation stays invisible to them.
+	Rate float64
+	// Sessions is the number of open-loop arrivals (default
+	// Rate*Duration).
+	Sessions int
 }
 
-// Result summarizes a run.
+// Result summarizes a run. Every operation (every arrival, in open-loop
+// mode) ends as exactly one of Commits, Rollback or Shed.
 type Result struct {
-	Duration time.Duration
-
 	Ops      int64
 	Commits  int64
 	Rollback int64
-	Retries  int64
+	Retries  int64 // rollbacks of deadlock/timeout victims
+	Shed     int64 // refused at admission (hostdb.ErrOverload)
 
 	Inserts int64
 	Updates int64
 	Deletes int64
 	Reads   int64
 
-	InsertsPerMin float64
-	UpdatesPerMin float64
-	OpsPerSec     float64
-
+	// Latency of committed transactions.
 	LatencyP50 time.Duration
 	LatencyP95 time.Duration
 	LatencyP99 time.Duration
@@ -84,9 +94,8 @@ type Result struct {
 // String renders the result the way the harness prints report rows.
 func (r Result) String() string {
 	return fmt.Sprintf(
-		"ops=%d commits=%d rollbacks=%d retries=%d | inserts/min=%.0f updates/min=%.0f ops/s=%.1f | p50=%s p95=%s p99=%s max=%s",
-		r.Ops, r.Commits, r.Rollback, r.Retries,
-		r.InsertsPerMin, r.UpdatesPerMin, r.OpsPerSec,
+		"ops=%d commits=%d rollbacks=%d retries=%d shed=%d | p50=%s p95=%s p99=%s max=%s",
+		r.Ops, r.Commits, r.Rollback, r.Retries, r.Shed,
 		r.LatencyP50.Round(time.Microsecond), r.LatencyP95.Round(time.Microsecond),
 		r.LatencyP99.Round(time.Microsecond), r.LatencyMax.Round(time.Microsecond))
 }
@@ -95,6 +104,7 @@ func (r Result) String() string {
 type Runner struct {
 	st  *Stack
 	cfg Config
+	lat *obs.Histogram // committed-transaction latency; RunChaos shares one
 
 	fileSeq atomic.Int64
 }
@@ -129,7 +139,10 @@ func NewRunner(st *Stack, cfg Config) (*Runner, error) {
 	if cfg.PathPrefix == "" {
 		cfg.PathPrefix = "/data"
 	}
-	return &Runner{st: st, cfg: cfg}, nil
+	if cfg.Rate > 0 && cfg.Sessions <= 0 {
+		cfg.Sessions = max(int(cfg.Rate*cfg.Duration.Seconds()), 1)
+	}
+	return &Runner{st: st, cfg: cfg, lat: obs.NewHistogram()}, nil
 }
 
 // Prepare creates the workload table and preloads rows. Idempotent per
@@ -156,6 +169,15 @@ func (r *Runner) Prepare() error {
 	if r.cfg.PreloadRows > 0 {
 		s := r.st.Host.Session()
 		defer s.Close()
+		// A batch whose commit decision is durable but whose phase-2
+		// acknowledgements were lost (a coordinator-crash fault armed
+		// before the run) has committed all the same.
+		commit := func() error {
+			if err := s.Commit(); err != nil && !errors.Is(err, hostdb.ErrCommitUnacked) {
+				return err
+			}
+			return nil
+		}
 		for i := 0; i < r.cfg.PreloadRows; i++ {
 			id := r.nextFileID()
 			path := r.newFile(id)
@@ -167,7 +189,7 @@ func (r *Runner) Prepare() error {
 				return fmt.Errorf("workload: preload: %w", err)
 			}
 			if (i+1)%50 == 0 {
-				if err := s.Commit(); err != nil {
+				if err := commit(); err != nil {
 					return err
 				}
 			}
@@ -175,7 +197,7 @@ func (r *Runner) Prepare() error {
 		if s.TxnID() == 0 {
 			return nil
 		}
-		return s.Commit()
+		return commit()
 	}
 	return nil
 }
@@ -216,127 +238,145 @@ func (cs *clientState) forgetID(id int64) {
 
 // Run executes the workload and collects metrics.
 func (r *Runner) Run() (Result, error) {
-	var (
-		ops, commits, rollbacks, retries atomic.Int64
-		inserts, updates, deletes, reads atomic.Int64
-	)
-	// Per-op latency is accumulated in a fresh histogram each run; it is
-	// also published on the process-wide registry (replace semantics), so a
-	// concurrent /metrics scrape sees the run in flight.
-	lat := obs.NewHistogram()
-	obs.Default().RegisterHistogram("workload_op_seconds", lat)
-
-	deadline := time.Now().Add(r.cfg.Duration)
+	next := r.closedLoop()
+	if r.cfg.Rate > 0 {
+		// Arrival-to-completion latency is the SLO series the fleet
+		// watchdog reads by default (fleet.HealthConfig.SLOHist).
+		obs.Default().RegisterHistogram("storm_txn_seconds", r.lat)
+		next = r.openLoop()
+	}
+	results := make([]Result, r.cfg.Clients)
+	errs := make([]error, r.cfg.Clients)
 	var wg sync.WaitGroup
-	errCh := make(chan error, r.cfg.Clients)
-
-	for cl := 0; cl < r.cfg.Clients; cl++ {
+	for cl := range results {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			cs := &clientState{
-				rng:  rand.New(rand.NewSource(r.cfg.Seed + int64(cl))),
-				sess: r.st.Host.Session(),
-			}
-			defer cs.sess.Close()
-			for i := 0; ; i++ {
-				if r.cfg.OpsPerClient > 0 {
-					if i >= r.cfg.OpsPerClient {
-						return
-					}
-				} else if time.Now().After(deadline) {
-					return
-				}
-				start := time.Now()
-				kind, err := r.oneOp(cs)
-				lat.Observe(time.Since(start))
-				ops.Add(1)
-				switch {
-				case err == nil:
-					commits.Add(1)
-					switch kind {
-					case "insert":
-						inserts.Add(1)
-					case "update":
-						updates.Add(1)
-					case "delete":
-						deletes.Add(1)
-					default:
-						reads.Add(1)
-					}
-				case errors.Is(err, hostdb.ErrCommitUnacked):
-					// The decision is durable and the transaction committed;
-					// only the phase-2 acknowledgements are outstanding (the
-					// coordinator-crash window the commit-protocol experiment
-					// injects). The client's work is done.
-					commits.Add(1)
-				case errors.Is(err, hostdb.ErrOutcomeUnknown):
-					// The transaction may or may not have committed; its host
-					// rows stay locked until indoubt resolution. oneOp has
-					// stopped tracking them.
-					rollbacks.Add(1)
-				case errors.Is(err, hostdb.ErrTxnRolledBack):
-					// Deadlock/timeout victim: the paper's applications
-					// retry. Acknowledge, count, continue.
-					rollbacks.Add(1)
-					retries.Add(1)
-					if cs.sess.TxnID() != 0 {
-						cs.sess.Rollback()
-					}
-				case errors.Is(err, hostdb.ErrStatement):
-					// Duplicate/races between clients: roll back and move
-					// on (distinct from system-level failures).
-					rollbacks.Add(1)
-					cs.sess.Rollback()
-				default:
-					errCh <- fmt.Errorf("client %d: %w", cl, err)
-					return
-				}
-			}
+			results[cl], errs[cl] = r.client(cl, next)
 		}(cl)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return Result{}, err
+	var res Result
+	for _, cr := range results {
+		addFields(reflect.ValueOf(&res).Elem(), reflect.ValueOf(cr))
 	}
+	res.summarize(r.lat)
+	return res, errors.Join(errs...)
+}
 
-	elapsed := r.cfg.Duration
-	if r.cfg.OpsPerClient > 0 || elapsed <= 0 {
-		elapsed = 0
+// summarize fills the latency percentiles from h.
+func (r *Result) summarize(h *obs.Histogram) {
+	sum := h.Summarize()
+	r.LatencyP50, r.LatencyP95, r.LatencyP99, r.LatencyMax = sum.P50, sum.P95, sum.P99, sum.Max
+}
+
+// closedLoop paces each client by its own completions: the next
+// transaction starts when the last one ends, until OpsPerClient or
+// Duration runs out.
+func (r *Runner) closedLoop() func(i int) (start time.Time, more bool) {
+	deadline := time.Now().Add(r.cfg.Duration)
+	return func(i int) (time.Time, bool) {
+		now := time.Now()
+		if r.cfg.OpsPerClient > 0 {
+			return now, i < r.cfg.OpsPerClient
+		}
+		return now, now.Before(deadline)
 	}
-	sum := lat.Summarize()
-	if elapsed == 0 {
-		elapsed = sum.Sum / time.Duration(max(r.cfg.Clients, 1))
-		if elapsed == 0 {
-			elapsed = time.Millisecond
+}
+
+// openLoop starts the arrival generator and hands clients the arrivals in
+// order. The generator sleeps toward each arrival's absolute due time
+// rather than per arrival, which would cap the rate at the scheduler's
+// wake-up granularity; an overshooting sleep publishes a burst, as a real
+// Poisson stream bunches. The queue holds every session, so the generator
+// never blocks on slow clients: that is what makes the loop open.
+func (r *Runner) openLoop() func(i int) (start time.Time, more bool) {
+	queue := make(chan time.Time, r.cfg.Sessions)
+	go func() {
+		defer close(queue)
+		rng := rand.New(rand.NewSource(r.cfg.Seed*104729 + 7))
+		next := time.Now()
+		for i := 0; i < r.cfg.Sessions; i++ {
+			next = next.Add(expDur(rng, r.cfg.Rate))
+			time.Sleep(time.Until(next))
+			queue <- next
+		}
+	}()
+	return func(int) (time.Time, bool) {
+		arrived, more := <-queue
+		return arrived, more
+	}
+}
+
+// expDur draws an exponential inter-arrival time for a Poisson process at
+// rate per second.
+func expDur(rng *rand.Rand, rate float64) time.Duration {
+	d := time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+	if d > math.MaxInt64/2 {
+		d = math.MaxInt64 / 2
+	}
+	return d
+}
+
+// client runs one session until next reports no more work, classifying
+// every transaction's outcome.
+func (r *Runner) client(cl int, next func(i int) (time.Time, bool)) (Result, error) {
+	var res Result
+	cs := &clientState{
+		rng:  rand.New(rand.NewSource(r.cfg.Seed + int64(cl))),
+		sess: r.st.Host.Session(),
+	}
+	defer cs.sess.Close()
+	for i := 0; ; i++ {
+		start, more := next(i)
+		if !more {
+			return res, nil
+		}
+		kind, err := r.oneOp(cs)
+		res.Ops++
+		switch {
+		case err == nil:
+			res.Commits++
+			r.lat.Observe(time.Since(start))
+			switch kind {
+			case "insert":
+				res.Inserts++
+			case "update":
+				res.Updates++
+			case "delete":
+				res.Deletes++
+			default:
+				res.Reads++
+			}
+		case errors.Is(err, hostdb.ErrCommitUnacked):
+			// The decision is durable and the transaction committed; only
+			// the phase-2 acknowledgements are outstanding (the
+			// coordinator-crash window the commit-protocol experiment
+			// injects). The client's work is done.
+			res.Commits++
+			r.lat.Observe(time.Since(start))
+		case errors.Is(err, hostdb.ErrOverload):
+			// Refused at the door: nothing started. The caller's retry is
+			// a later arrival, not a tight loop here.
+			res.Shed++
+		case errors.Is(err, hostdb.ErrTxnRolledBack),
+			errors.Is(err, hostdb.ErrStatement),
+			errors.Is(err, hostdb.ErrOutcomeUnknown):
+			// Deadlock/timeout victims are retried by the paper's
+			// applications; statement failures are races between clients.
+			// An unknown outcome leaves its rows locked until indoubt
+			// resolution, and oneOp has stopped tracking them.
+			res.Rollback++
+			if errors.Is(err, hostdb.ErrTxnRolledBack) {
+				res.Retries++
+			}
+			if cs.sess.TxnID() != 0 {
+				cs.sess.Rollback()
+			}
+		default:
+			return res, fmt.Errorf("client %d: %w", cl, err)
 		}
 	}
-
-	res := Result{
-		Duration: elapsed,
-		Ops:      ops.Load(),
-		Commits:  commits.Load(),
-		Rollback: rollbacks.Load(),
-		Retries:  retries.Load(),
-		Inserts:  inserts.Load(),
-		Updates:  updates.Load(),
-		Deletes:  deletes.Load(),
-		Reads:    reads.Load(),
-	}
-	mins := elapsed.Minutes()
-	if mins > 0 {
-		res.InsertsPerMin = float64(res.Inserts) / mins
-		res.UpdatesPerMin = float64(res.Updates) / mins
-		res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
-	}
-	if sum.Count > 0 {
-		res.LatencyP50 = sum.P50
-		res.LatencyP95 = sum.P95
-		res.LatencyP99 = sum.P99
-		res.LatencyMax = sum.Max
-	}
-	return res, nil
 }
 
 // oneOp executes one client transaction and reports its kind.
@@ -413,11 +453,4 @@ func (r *Runner) oneOp(cs *clientState) (string, error) {
 		}
 		return "read", nil
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -236,9 +236,7 @@ func TestAdminEndpointsUnderChaos(t *testing.T) {
 	go func() {
 		defer close(done)
 		_, chaosErr = RunChaos(st, ChaosConfig{
-			Clients:      8,
-			Duration:     2 * time.Second,
-			Seed:         3,
+			Config:       Config{Clients: 8, Duration: 2 * time.Second, Seed: 3},
 			KillInterval: 500 * time.Millisecond,
 			DownTime:     100 * time.Millisecond,
 			DropInterval: 300 * time.Millisecond,
