@@ -22,7 +22,6 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/hostdb"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -236,7 +235,8 @@ func TestConnDropMidCommitReissued(t *testing.T) {
 	s, path := beginLinks(t, st, "cd", 1, "fs1", "fs2")
 	defer s.Close()
 
-	_, _, reissuesBefore := rpc.Stats()
+	reissues := func() int64 { return st.Host.Obs().Export().Counters["rpc_reissues_total"] }
+	reissuesBefore := reissues()
 	fault.Default().Arm("rpc.recv.before", fault.Action{Drop: true}, fault.Match("Commit"), fault.Times(1))
 	if err := s.Commit(); err != nil {
 		t.Fatalf("commit through dropped connection = %v, want transparent re-issue", err)
@@ -244,7 +244,7 @@ func TestConnDropMidCommitReissued(t *testing.T) {
 	if fired := fault.Default().Fired("rpc.recv.before"); fired != 1 {
 		t.Fatalf("drop fired %d times, want 1", fired)
 	}
-	if _, _, re := rpc.Stats(); re == reissuesBefore {
+	if reissues() == reissuesBefore {
 		t.Error("reissue counter did not move; the commit was not re-issued")
 	}
 	if n := preparedCount(t, st); n != 0 {

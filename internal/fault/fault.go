@@ -3,8 +3,8 @@
 // and fires it at the instrumented site; when the point is not armed the
 // fire is a single atomic load. Tests and the chaos runner arm points with
 // actions — error return, connection drop, panic-as-crash, latency — and
-// selectors (probability from a seeded PRNG, skip counts, fire limits,
-// detail matching) so every chaos run is replayable from its seed.
+// selectors (seeded probability, skip counts, fire limits, detail matching)
+// so every chaos run is replayable from its seed.
 //
 // The failure windows the points model are the ones Gray & Lamport's
 // Consensus on Transaction Commit enumerates for two-phase commit:
@@ -15,7 +15,7 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -69,7 +69,10 @@ type arming struct {
 // Option refines when an armed point fires.
 type Option func(*arming)
 
-// Prob fires with probability p, drawn from the registry's seeded PRNG.
+// Prob fires with probability p. Whether a hit fires is a pure function of
+// the registry seed, the point's name and the hit's number within the
+// arming, so a point's firing pattern depends only on its own hits, never
+// on what other points or goroutines draw.
 func Prob(p float64) Option { return func(a *arming) { a.prob = p } }
 
 // After skips the first n matching hits before firing.
@@ -86,6 +89,7 @@ func Match(substr string) Option { return func(a *arming) { a.match = substr } }
 // keep the handle; Fire on a disarmed point costs one atomic load.
 type Point struct {
 	name  string
+	hash  uint64 // of name, for Prob's draws
 	reg   *Registry
 	armed atomic.Pointer[arming]
 	fired atomic.Int64
@@ -126,7 +130,7 @@ func (p *Point) fire(a *arming, detail string) error {
 		a.mu.Unlock()
 		return nil
 	}
-	if a.prob > 0 && a.prob < 1 && p.reg.rand() >= a.prob {
+	if a.prob > 0 && a.prob < 1 && p.draw(a.seen) >= a.prob {
 		a.mu.Unlock()
 		return nil
 	}
@@ -153,19 +157,35 @@ func (p *Point) fire(a *arming, detail string) error {
 	}
 }
 
-// Registry holds the process's fault points and the seeded PRNG behind
+// draw maps (registry seed, point name, hit number) to a uniform number in
+// [0, 1) with SplitMix64.
+func (p *Point) draw(hit int64) float64 {
+	x := splitmix64(splitmix64(uint64(p.reg.seed.Load())^p.hash) + uint64(hit))
+	return float64(x>>11) / (1 << 53)
+}
+
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Registry holds the process's fault points and the seed behind
 // probabilistic arming. Arming is expected from test/chaos setup code;
 // firing is safe from any goroutine.
 type Registry struct {
 	mu       sync.Mutex
-	rng      *rand.Rand
+	seed     atomic.Int64
 	points   map[string]*Point
 	injected atomic.Int64
 }
 
 // New creates an empty registry seeded with 1.
 func New() *Registry {
-	return &Registry{rng: rand.New(rand.NewSource(1)), points: make(map[string]*Point)}
+	r := &Registry{points: make(map[string]*Point)}
+	r.seed.Store(1)
+	return r
 }
 
 var defaultRegistry = New()
@@ -184,24 +204,16 @@ func (r *Registry) Point(name string) *Point {
 	defer r.mu.Unlock()
 	p := r.points[name]
 	if p == nil {
-		p = &Point{name: name, reg: r}
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		p = &Point{name: name, hash: h.Sum64(), reg: r}
 		r.points[name] = p
 	}
 	return p
 }
 
-// Seed re-seeds the PRNG behind Prob so a chaos run replays exactly.
-func (r *Registry) Seed(seed int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rng = rand.New(rand.NewSource(seed))
-}
-
-func (r *Registry) rand() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rng.Float64()
-}
+// Seed sets the seed behind Prob so a chaos run replays exactly.
+func (r *Registry) Seed(seed int64) { r.seed.Store(seed) }
 
 // Arm installs an action at the named point, replacing any previous arming
 // (its hit/fire selectors restart from zero).
@@ -218,8 +230,8 @@ func (r *Registry) Arm(name string, act Action, opts ...Option) *Point {
 // Disarm removes the named point's action; Fire becomes a no-op again.
 func (r *Registry) Disarm(name string) { r.Point(name).armed.Store(nil) }
 
-// Reset disarms every point and zeroes all fire counters (the PRNG seed is
-// left alone; use Seed to restart a deterministic sequence).
+// Reset disarms every point and zeroes all fire counters (the seed is left
+// alone; re-arming a point restarts its hit numbers).
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	pts := make([]*Point, 0, len(r.points))

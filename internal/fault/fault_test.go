@@ -2,6 +2,8 @@ package fault
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -131,6 +133,36 @@ func TestProbIsDeterministicFromSeed(t *testing.T) {
 	}
 	if fired == 0 || fired == len(a) {
 		t.Fatalf("Prob(0.3) fired %d/%d times", fired, len(a))
+	}
+}
+
+// A point's Prob pattern depends only on its own hits: two points
+// hammered at once from two goroutines fire on the same hit numbers as
+// each does alone.
+func TestProbPatternIsPerPoint(t *testing.T) {
+	r := resetAround(t)
+	r.Seed(7)
+	const hits = 2000
+	run := func(name string) []bool {
+		p := r.Arm(name, Action{}, Prob(0.3))
+		out := make([]bool, hits)
+		for i := range out {
+			out[i] = p.Fire() != nil
+		}
+		return out
+	}
+	aloneA, aloneB := run("test.prob.a"), run("test.prob.b")
+	if reflect.DeepEqual(aloneA, aloneB) {
+		t.Fatal("two points share one firing pattern")
+	}
+	var togetherA, togetherB []bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); togetherA = run("test.prob.a") }()
+	go func() { defer wg.Done(); togetherB = run("test.prob.b") }()
+	wg.Wait()
+	if !reflect.DeepEqual(aloneA, togetherA) || !reflect.DeepEqual(aloneB, togetherB) {
+		t.Fatal("a point's firing pattern changed when another point fired beside it")
 	}
 }
 

@@ -42,8 +42,8 @@ const (
 
 // SpanCtx identifies a position in a trace: the trace (= host transaction
 // id) and the current span within it. The zero value means "unsampled";
-// every producer treats it as a no-op. Fields are exported so the RPC
-// layer can gob-encode the context inside its envelope.
+// every producer treats it as a no-op. The RPC layer carries it in each
+// request frame.
 type SpanCtx struct {
 	Trace int64
 	Span  int64

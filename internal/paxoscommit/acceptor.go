@@ -67,7 +67,8 @@ func NewAcceptor(name, path string) (*Acceptor, error) {
 // Log-record layout: Txn stays 0 (the acceptor log has no transaction
 // lifecycle, and a nonzero Txn would pin wal active-space tracking
 // forever); the payload row is {txn, part, kind, val} with the ballot in
-// RID. kind is "promise", "accept", or "forget".
+// RID. kind is "promise", "accept", or "forget". The caller forces the log
+// before it replies.
 func (a *Acceptor) appendLocked(txn int64, part, kind string, bal int64, val string) error {
 	rec := wal.Record{
 		Type:  wal.RecInsert,
@@ -75,7 +76,13 @@ func (a *Acceptor) appendLocked(txn int64, part, kind string, bal int64, val str
 		RID:   bal,
 		After: value.Row{value.Int(txn), value.Str(part), value.Str(kind), value.Str(val)},
 	}
-	if _, err := a.log.Append(rec); err != nil {
+	_, err := a.log.Append(rec)
+	return err
+}
+
+// logLocked appends one record and forces it.
+func (a *Acceptor) logLocked(txn int64, part, kind string, bal int64, val string) error {
+	if err := a.appendLocked(txn, part, kind, bal, val); err != nil {
 		return err
 	}
 	return a.log.Sync()
@@ -189,7 +196,7 @@ func (a *Acceptor) promise(r rpc.PaxosPromiseReq) rpc.Response {
 		return rpc.Response{Code: "stale", N: st.promised,
 			Msg: fmt.Sprintf("promised %d >= %d", st.promised, r.Bal)}
 	}
-	if err := a.appendLocked(r.Txn, r.Part, "promise", r.Bal, ""); err != nil {
+	if err := a.logLocked(r.Txn, r.Part, "promise", r.Bal, ""); err != nil {
 		return rpc.Response{Code: "severe", Msg: err.Error()}
 	}
 	st.promised = r.Bal
@@ -202,24 +209,52 @@ func (a *Acceptor) promise(r rpc.PaxosPromiseReq) rpc.Response {
 	return resp
 }
 
-// accept is phase 2b. Ballot 0 is the leader fast path: it succeeds unless
-// a recovery learner already promised past it.
+// accept is phase 2b for a bundle of instances (see rpc.PaxosAcceptReq for
+// the reply). Ballot 0 is the leader fast path: an instance accepts unless
+// a recovery learner already promised past it. Every accepted instance is
+// logged, then one Sync covers the bundle; the in-memory state changes only
+// once the log is forced.
 func (a *Acceptor) accept(r rpc.PaxosAcceptReq) rpc.Response {
+	if len(r.Parts) != len(r.Vals) {
+		return rpc.Response{Code: "severe",
+			Msg: fmt.Sprintf("accept bundle has %d parts and %d values", len(r.Parts), len(r.Vals))}
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := a.instFor(r.Txn, r.Part)
-	if r.Bal < st.promised {
-		a.rejects++
-		return rpc.Response{Code: "stale", N: st.promised,
-			Msg: fmt.Sprintf("promised %d > %d", st.promised, r.Bal)}
+	resp := rpc.Response{N: r.Bal, RecIDs: make([]int64, len(r.Parts))}
+	accepted := make([]*instState, len(r.Parts))
+	logged := 0
+	for i, part := range r.Parts {
+		st := a.instFor(r.Txn, part)
+		if r.Bal < st.promised {
+			a.rejects++
+			resp.RecIDs[i] = st.promised
+			if resp.Code == "" {
+				resp.Code, resp.N = "stale", st.promised
+				resp.Msg = fmt.Sprintf("%s: promised %d > %d", part, st.promised, r.Bal)
+			}
+			continue
+		}
+		if err := a.appendLocked(r.Txn, part, "accept", r.Bal, r.Vals[i]); err != nil {
+			return rpc.Response{Code: "severe", Msg: err.Error()}
+		}
+		resp.RecIDs[i] = r.Bal
+		accepted[i] = st
+		logged++
 	}
-	if err := a.appendLocked(r.Txn, r.Part, "accept", r.Bal, r.Val); err != nil {
-		return rpc.Response{Code: "severe", Msg: err.Error()}
+	if logged > 0 {
+		if err := a.log.Sync(); err != nil {
+			return rpc.Response{Code: "severe", Msg: err.Error()}
+		}
 	}
-	st.promised = r.Bal
-	st.accBal, st.accVal = r.Bal, r.Val
-	a.accepts++
-	return rpc.Response{N: r.Bal}
+	for i, st := range accepted {
+		if st != nil {
+			st.promised = r.Bal
+			st.accBal, st.accVal = r.Bal, r.Vals[i]
+			a.accepts++
+		}
+	}
+	return resp
 }
 
 // read reports every instance of the transaction with an accepted value:
@@ -245,7 +280,7 @@ func (a *Acceptor) read(r rpc.PaxosReadReq) rpc.Response {
 func (a *Acceptor) forget(r rpc.PaxosForgetReq) rpc.Response {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.appendLocked(r.Txn, "", "forget", 0, ""); err != nil {
+	if err := a.logLocked(r.Txn, "", "forget", 0, ""); err != nil {
 		return rpc.Response{Code: "severe", Msg: err.Error()}
 	}
 	var n int64

@@ -15,32 +15,32 @@ import (
 
 // fpAcceptDrop models a lost accept message: arm with Drop (or Err) to
 // make the leader/learner treat that acceptor as unreachable for the send.
-// The detail is the instance part name, so Match can target the registrar
-// instance ("@parts") or one participant.
+// It fires once per instance in a bundle, with the instance part name as
+// detail, so Match can target the registrar instance ("@parts") or one
+// participant; a drop ends that acceptor's bundle before the dropped
+// instance.
 var fpAcceptDrop = fault.P("paxos.accept_drop")
-
-// instance is one (part, value) proposal of a transaction's bundle.
-type instance struct {
-	part string
-	val  string
-}
 
 // Commit runs the leader's ballot-0 accept round for txn: the registrar
 // instance carrying the participant list plus one "prepared" instance per
-// participant, all in a single message delay. nil means every instance was
-// chosen by an acceptor majority — the transaction is durably committed
-// and survives both the leader and any F acceptors dying. ErrPreempted
-// means a recovery learner got there first (the caller must learn the
-// outcome instead of assuming commit); ErrNoQuorum means too few acceptors
-// answered to decide anything.
+// participant, bundled into one PaxosAcceptReq per acceptor and sent to
+// every acceptor at once — a single message delay, and one round trip per
+// acceptor. nil means every instance was chosen by an acceptor majority —
+// the transaction is durably committed and survives both the leader and
+// any F acceptors dying. ErrPreempted means a recovery learner got there
+// first (the caller must learn the outcome instead of assuming commit);
+// ErrNoQuorum means too few acceptors answered to decide anything.
 func Commit(acceptors []Caller, txn int64, parts []string) error {
-	insts := make([]instance, 0, len(parts)+1)
-	insts = append(insts, instance{RegistrarPart, EncodeParts(parts)})
-	for _, p := range parts {
-		insts = append(insts, instance{p, ValPrepared})
+	req := rpc.PaxosAcceptReq{Txn: txn,
+		Parts: append([]string{RegistrarPart}, parts...),
+		Vals:  make([]string, len(parts)+1),
+	}
+	req.Vals[0] = EncodeParts(parts)
+	for i := range parts {
+		req.Vals[i+1] = ValPrepared
 	}
 
-	acks := make([]int, len(insts))
+	acks := make([]int, len(req.Parts))
 	var preempted error
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -48,18 +48,18 @@ func Commit(acceptors []Caller, txn int64, parts []string) error {
 		wg.Add(1)
 		go func(acc Caller) {
 			defer wg.Done()
-			for i, in := range insts {
-				resp, err := sendAccept(acc, txn, in.part, 0, in.val)
-				if err != nil {
-					return // acceptor unreachable; later instances would fail too
-				}
-				mu.Lock()
-				if resp.OK() {
+			resp, err := sendAccept(acc, req)
+			if err != nil {
+				return // acceptor unreachable
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i, bal := range resp.RecIDs[:min(len(resp.RecIDs), len(req.Parts))] {
+				if bal == req.Bal {
 					acks[i]++
-				} else if resp.Code == "stale" && preempted == nil {
-					preempted = stale(txn, in.part, resp.N)
+				} else if preempted == nil {
+					preempted = stale(txn, req.Parts[i], bal)
 				}
-				mu.Unlock()
 			}
 		}(acc)
 	}
@@ -91,11 +91,20 @@ func Forget(acceptors []Caller, txn int64) {
 	wg.Wait()
 }
 
-func sendAccept(acc Caller, txn int64, part string, bal int64, val string) (rpc.Response, error) {
-	if err := fpAcceptDrop.FireDetail(part); err != nil {
-		return rpc.Response{}, err
+// sendAccept sends req to one acceptor, cut before the first instance whose
+// accept_drop fires; a bundle cut to nothing is not sent. The reply covers
+// the instances sent.
+func sendAccept(acc Caller, req rpc.PaxosAcceptReq) (rpc.Response, error) {
+	for i, part := range req.Parts {
+		if err := fpAcceptDrop.FireDetail(part); err != nil {
+			if i == 0 {
+				return rpc.Response{}, err
+			}
+			req.Parts, req.Vals = req.Parts[:i], req.Vals[:i]
+			break
+		}
 	}
-	return acc.Call(rpc.PaxosAcceptReq{Txn: txn, Part: part, Bal: bal, Val: val})
+	return acc.Call(req)
 }
 
 // Learner determines a transaction's outcome from acceptor state without
@@ -231,7 +240,7 @@ func (l *Learner) decide(txn int64, part string, bal int64, fallback string) (st
 		if !proms[i].ok {
 			continue // no promise, its accept would be rejected anyway
 		}
-		resp, err := sendAccept(acc, txn, part, bal, val)
+		resp, err := sendAccept(acc, rpc.PaxosAcceptReq{Txn: txn, Bal: bal, Parts: []string{part}, Vals: []string{val}})
 		if err != nil {
 			continue
 		}

@@ -17,8 +17,9 @@
 //
 // The leader (the committing host session) uses the ballot-0 fast path:
 // having collected the prepare votes itself, it skips phase 1 and sends
-// ballot-0 accepts directly — one message delay over plain 2PC's decision
-// write, and the decision survives F acceptor failures. A learner that
+// each acceptor one ballot-0 accept carrying every instance — one message
+// delay over plain 2PC's decision write, and the decision survives F
+// acceptor failures. A learner that
 // suspects the leader dead runs full Paxos at a higher ballot per instance,
 // proposing "aborted" (or the registrar abort sentinel) for any instance
 // with no accepted value; Paxos's invariant guarantees it converges on the

@@ -1,8 +1,8 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -34,71 +34,71 @@ var wireSamples = []any{
 	OnePhaseCommitReq{Txn: 24},
 	QueryOutcomeReq{Txn: 25},
 	PaxosPromiseReq{Txn: 26, Part: "fs1", Bal: 65},
-	PaxosAcceptReq{Txn: 26, Part: "@parts", Bal: 0, Val: "fs1,fs2"},
+	PaxosAcceptReq{Txn: 26, Bal: 0, Parts: []string{"@parts", "fs1"}, Vals: []string{"fs1,fs2", "prepared"}},
 	PaxosReadReq{Txn: 26},
 	PaxosForgetReq{Txn: 26},
 	PingReq{},
 	StatsReq{},
-	ReplFetchReq{FromLSN: 27, Max: 28},
+	ReplFetchReq{FromLSN: 27, Max: -28},
 }
 
-// gobBytes encodes v as the first value of a fresh stream, type
-// descriptors included — what a new connection carries.
-func gobBytes(t testing.TB, v any) []byte {
+// fullResponse sets every Response field.
+var fullResponse = Response{
+	Code: "severe", Msg: "m", Linked: true, FullControl: true, ReadOnly: true, Txns: []int64{1, -2}, N: 3,
+	Names: []string{"/x", ""}, RecIDs: []int64{4}, Grps: []int64{5}, Owners: []string{"app"},
+	Flags: []int64{3}, Data: []byte("d"), LSN: 1 << 62,
+}
+
+func requestFrame(t testing.TB, env envelope) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("encode %#v: %v", v, err)
+	b, err := appendRequest(nil, env)
+	if err != nil {
+		t.Fatalf("encode %#v: %v", env.req, err)
 	}
-	return buf.Bytes()
+	return b
 }
 
-// FuzzMessages feeds arbitrary bytes to the two wire decoders — the
-// server's request envelope and the client's reply. Neither may panic, and
-// whatever decodes must re-encode to itself: encoding the decoded value and
-// decoding and encoding that again gives the same bytes.
+func replyFrame(t testing.TB, seq uint64, resp Response) []byte {
+	t.Helper()
+	b, err := appendReply(nil, seq, &resp)
+	if err != nil {
+		t.Fatalf("encode %#v: %v", resp, err)
+	}
+	return b
+}
+
+// FuzzMessages feeds arbitrary bytes, read as one frame, to the two wire
+// decoders — the server's request decoder and the client's reply decoder.
+// Neither may panic, and whatever decodes must re-encode to exactly the
+// frame it was read from.
 func FuzzMessages(f *testing.F) {
 	seeded := make(map[reflect.Type]bool)
 	for i, req := range wireSamples {
 		seeded[reflect.TypeOf(req)] = true
-		f.Add(gobBytes(f, envelope{Seq: uint64(i + 1), Trace: obs.SpanCtx{Trace: 99, Span: int64(i)}, Req: req}))
+		f.Add(requestFrame(f, envelope{seq: uint64(i + 1), trace: obs.SpanCtx{Trace: 99, Span: int64(i)}, req: req}))
 	}
 	for _, req := range RequestTypes() {
 		if !seeded[reflect.TypeOf(req)] {
 			f.Fatalf("%s has no sample in wireSamples", Name(req))
 		}
 	}
-	f.Add(gobBytes(f, reply{Seq: 1, Resp: Response{
-		Code: "severe", Msg: "m", Linked: true, ReadOnly: true, Txns: []int64{1, 2}, N: 3,
-		Names: []string{"/x"}, RecIDs: []int64{4}, Grps: []int64{5}, Owners: []string{"app"},
-		Flags: []int64{3}, Data: []byte("d"), LSN: 6,
-	}}))
+	f.Add(replyFrame(f, 1, fullResponse))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var env envelope
-		if gob.NewDecoder(bytes.NewReader(data)).Decode(&env) == nil {
-			reencodes(t, env, func() any { return new(envelope) })
+		payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil)
+		if err != nil {
+			return
 		}
-		var rep reply
-		if gob.NewDecoder(bytes.NewReader(data)).Decode(&rep) == nil {
-			reencodes(t, rep, func() any { return new(reply) })
+		frame := data[:4+len(payload)]
+		if env, err := decodeRequest(payload); err == nil {
+			if again := requestFrame(t, env); !bytes.Equal(again, frame) {
+				t.Fatalf("%#v does not re-encode to its frame:\n%x\n%x", env, frame, again)
+			}
+		}
+		var resp Response
+		if seq, err := decodeReply(payload, &resp); err == nil {
+			if again := replyFrame(t, seq, resp); !bytes.Equal(again, frame) {
+				t.Fatalf("%#v does not re-encode to its frame:\n%x\n%x", resp, frame, again)
+			}
 		}
 	})
-}
-
-// reencodes checks that v, a value just decoded, survives a round trip:
-// encode, decode into a fresh value, encode again — same bytes.
-func reencodes(t *testing.T, v any, fresh func() any) {
-	t.Helper()
-	var first bytes.Buffer
-	if err := gob.NewEncoder(&first).Encode(v); err != nil {
-		return // gob decodes some values it refuses to send back (a nil Req)
-	}
-	again := fresh()
-	if err := gob.NewDecoder(bytes.NewReader(first.Bytes())).Decode(again); err != nil {
-		t.Fatalf("decoding the re-encoded %#v: %v", v, err)
-	}
-	second := gobBytes(t, reflect.ValueOf(again).Elem().Interface())
-	if !bytes.Equal(first.Bytes(), second) {
-		t.Fatalf("%#v does not re-encode to itself:\n%x\n%x", v, first.Bytes(), second)
-	}
 }

@@ -9,10 +9,7 @@
 // Section 4; experiment E6).
 package rpc
 
-import (
-	"encoding/gob"
-	"reflect"
-)
+import "reflect"
 
 // Request messages. The set mirrors the DLFM API surface the paper
 // describes: transaction control (Section 3.3), link/unlink with the
@@ -186,15 +183,24 @@ type PaxosPromiseReq struct {
 	Bal  int64
 }
 
-// PaxosAcceptReq is phase 2a of one Paxos Commit instance: accept Val at
-// ballot Bal. The leader's fast path sends ballot 0 accepts directly,
-// skipping phase 1 (the Gray & Lamport optimisation); recovery learners use
-// higher ballots after a promise round.
+// PaxosAcceptReq is phase 2a of Paxos Commit for a bundle of instances of
+// one transaction: accept Vals[i] for instance (Txn, Parts[i]) at ballot
+// Bal. The leader's fast path sends one ballot-0 bundle per acceptor
+// carrying every instance, skipping phase 1 (the Gray & Lamport
+// optimisation); recovery learners send one-element bundles at higher
+// ballots after a promise round.
+//
+// The acceptor applies the bundle under one lock hold and forces its log
+// once before replying. The reply answers per instance: RecIDs[i] is
+// instance i's promised ballot afterwards, equal to Bal when Vals[i] was
+// accepted and higher when the instance was stale. If any instance was
+// stale, Code is "stale" and N the first stale instance's promised ballot;
+// any other error code acknowledges nothing in the bundle.
 type PaxosAcceptReq struct {
-	Txn  int64
-	Part string
-	Bal  int64
-	Val  string
+	Txn   int64
+	Bal   int64
+	Parts []string
+	Vals  []string
 }
 
 // PaxosReadReq reads an acceptor's accepted state for every instance of
@@ -269,22 +275,31 @@ type Response struct {
 func (r Response) OK() bool { return r.Code == "" }
 
 // msgInfo is one message-type registry entry. The registry is the single
-// source of truth for a request type's wire name, gob registration, and
-// reconnect semantics: the Client's idempotent re-issue allowlist is driven
-// off it, so adding a message type without deciding its reconnect safety is
+// source of truth for a request type's wire name, wire tag, and reconnect
+// semantics: the Client's idempotent re-issue allowlist is driven off it,
+// so adding a message type without deciding its reconnect safety is
 // impossible.
 type msgInfo struct {
 	name       string
+	tag        int             // position in registration order; the frame's type tag
 	readOnly   bool            // no server-side state change at all
 	idempotent bool            // safe to re-issue after a transport failure
 	txnOf      func(any) int64 // nil: no transaction context
 }
 
-var registry = map[reflect.Type]msgInfo{}
+var (
+	registry = map[reflect.Type]msgInfo{}
+	byTag    []reflect.Type
+)
 
+// register adds a request type. Tags follow registration order, so a new
+// type goes at the end of init's list.
 func register(proto any, info msgInfo) {
-	gob.Register(proto)
-	registry[reflect.TypeOf(proto)] = info
+	t := reflect.TypeOf(proto)
+	checkWire(t)
+	info.tag = len(byTag)
+	byTag = append(byTag, t)
+	registry[t] = info
 }
 
 func lookup(req any) (msgInfo, bool) {

@@ -40,7 +40,7 @@ func TestCallTimeout(t *testing.T) {
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("Call with stalled server = %v, want ErrCallTimeout", err)
 	}
-	if to, _, _ := Stats(); to == 0 {
+	if rpcStats.timeouts.Load() == 0 {
 		t.Error("timeout counter not incremented")
 	}
 }
@@ -83,7 +83,7 @@ func TestIdempotentReissueOnDrop(t *testing.T) {
 	if got := settleCount(&f.handled, handledBefore+2) - handledBefore; got != 2 {
 		t.Errorf("server handled %d requests, want 2 (original + re-issue)", got)
 	}
-	if _, _, re := Stats(); re == 0 {
+	if rpcStats.reissues.Load() == 0 {
 		t.Error("reissue counter not incremented")
 	}
 }

@@ -1,7 +1,7 @@
 package rpc
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -14,29 +14,10 @@ import (
 	"repro/internal/obs"
 )
 
-// envelope wraps the request for gob so the concrete type travels with it.
-// Seq tags the request so the client can demultiplex replies: several calls
-// may be in flight on one connection, and replies carry the sequence id of
-// the request they answer. The server still handles requests serially and
-// in arrival order, so replies also arrive in order — the id is what lets
-// the client pipeline sends without convoying every caller on one mutex.
-// Trace carries the caller's span context so the server-side span tree
-// attaches under the host's RPC span (zero when the txn is unsampled).
-type envelope struct {
-	Seq   uint64
-	Trace obs.SpanCtx
-	Req   any
-}
-
-// reply pairs a Response with the sequence id of the request it answers.
-type reply struct {
-	Seq  uint64
-	Resp Response
-}
-
 // ErrCallTimeout marks a Call that exceeded its per-call deadline: the DLFM
-// stalled rather than died. The connection is severed (the reply, if it ever
-// comes, would desynchronize the stream) and redialled on the next use.
+// stalled rather than died. The connection is severed (its agent serves
+// requests in order, so every later call would queue behind the stalled
+// one) and redialled on the next use.
 var ErrCallTimeout = errors.New("rpc: call timed out")
 
 // DefaultCallTimeout is the per-call I/O deadline, echoing the paper's 60 s
@@ -61,7 +42,8 @@ var (
 	fpServerHandle = fault.P("rpc.server.handle")
 )
 
-// Transport-wide counters (all clients in the process), for chaos reports.
+// Transport-wide counters (all clients in the process); Instrument puts
+// them on a registry.
 var rpcStats struct {
 	timeouts   obs.Counter
 	reconnects obs.Counter
@@ -76,16 +58,6 @@ func Instrument(reg *obs.Registry) {
 	reg.RegisterCounter("rpc_reissues_total", &rpcStats.reissues)
 	reg.GaugeFunc("rpc_inflight", func() float64 { return float64(rpcStats.inflight.Load()) })
 }
-
-// Stats returns the process-wide transport counters: call timeouts,
-// reconnects, and idempotent re-issues.
-func Stats() (timeouts, reconnects, reissues int64) {
-	return rpcStats.timeouts.Load(), rpcStats.reconnects.Load(), rpcStats.reissues.Load()
-}
-
-// Inflight reports the number of RPC calls currently awaiting a reply
-// across all clients in the process.
-func Inflight() int64 { return rpcStats.inflight.Load() }
 
 // writeDeadliner is the optional conn capability behind send deadlines;
 // both net.Conn and net.Pipe implement it. Only the write half is armed:
@@ -103,7 +75,7 @@ type Agent interface {
 }
 
 // TracedAgent is the optional extension an Agent implements to receive the
-// caller's span context from the envelope. ServeConn prefers HandleCtx
+// caller's span context from the request frame. ServeConn prefers HandleCtx
 // when available; plain Agents keep working unchanged.
 type TracedAgent interface {
 	HandleCtx(ctx obs.SpanCtx, req any) Response
@@ -118,9 +90,24 @@ type AgentFactory interface {
 
 // pendingCall tracks one in-flight request awaiting its demuxed reply.
 // done is buffered (capacity 1) and receives exactly one CallResult: either
-// the matched reply or a transport error when the connection dies.
+// the matched reply or a transport error when the connection dies. Once
+// that result is received the call is recycled.
 type pendingCall struct {
 	done chan CallResult
+}
+
+var pendingCalls = sync.Pool{New: func() any { return &pendingCall{done: make(chan CallResult, 1)} }}
+
+// deadlines recycles per-call deadline timers. Only a timer stopped before
+// it fired goes back, so a reused timer never carries a stale tick.
+var deadlines sync.Pool
+
+func startDeadline(d time.Duration) *time.Timer {
+	if t, _ := deadlines.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
 }
 
 // Client is the host side of one connection. Requests are tagged with a
@@ -139,15 +126,16 @@ type pendingCall struct {
 // connection. Non-idempotent requests fail fast once sent, but the next
 // Call still gets a fresh connection.
 type Client struct {
-	// sendMu serializes encodes and may be held across a blocking write.
-	// mu guards connection state and the pending map and is never held
-	// across I/O — the reader goroutine takes it between replies, so
-	// holding it through a stalled write would stop reply draining and
-	// deadlock the pipeline. Lock order: sendMu before mu.
+	// sendMu serializes encodes and guards wbuf, the reused frame buffer;
+	// it may be held across a blocking write. mu guards connection state
+	// and the pending map and is never held across I/O — the reader
+	// goroutine takes it between replies, so holding it through a stalled
+	// write would stop reply draining and deadlock the pipeline. Lock
+	// order: sendMu before mu.
 	sendMu sync.Mutex
+	wbuf   []byte
 	mu     sync.Mutex
 	conn   io.ReadWriteCloser
-	enc    *gob.Encoder
 	tracer *obs.Tracer
 	redial func() (io.ReadWriteCloser, error)
 	broken bool
@@ -190,7 +178,6 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 func NewClient(conn io.ReadWriteCloser) *Client {
 	return &Client{
 		conn:    conn,
-		enc:     gob.NewEncoder(conn),
 		pending: make(map[uint64]*pendingCall),
 		timeout: DefaultCallTimeout,
 		retries: defaultRedialRetries,
@@ -230,7 +217,7 @@ func (c *Client) Call(req any) (Response, error) {
 }
 
 // CallCtx is Call with a span context carried to the server in the
-// envelope, so the agent's handling spans attach under the caller's RPC
+// request frame, so the agent's handling spans attach under the caller's RPC
 // span. The zero context is valid (unsampled).
 func (c *Client) CallCtx(ctx obs.SpanCtx, req any) (Response, error) {
 	bo := fault.Backoff{Base: 2 * time.Millisecond, Cap: 100 * time.Millisecond}
@@ -269,41 +256,43 @@ func (c *Client) call1(ctx obs.SpanCtx, req any, sent *bool) (Response, error) {
 	if ferr := fpRecvBefore.FireDetail(Name(req)); ferr != nil {
 		c.severGen(gen)
 		<-pc.done // consume the drain so the call completes exactly once
+		pendingCalls.Put(pc)
 		rpcStats.inflight.Add(-1)
 		return Response{}, fmt.Errorf("rpc: receive: %w", ferr)
 	}
-	timeout := c.callTimeout()
-	if timeout < 0 {
-		res := <-pc.done
-		return c.finish(res)
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case res := <-pc.done:
-		return c.finish(res)
-	case <-timer.C:
-		// Prefer a reply that raced the timer.
-		select {
-		case res := <-pc.done:
-			return c.finish(res)
-		default:
-		}
-		c.severGen(gen)
-		<-pc.done // reader drains every pending call once severed
-		rpcStats.inflight.Add(-1)
-		rpcStats.timeouts.Add(1)
-		return Response{}, fmt.Errorf("rpc: receive: %w: no reply within %v", ErrCallTimeout, timeout)
-	}
+	res := c.await(pc, gen)
+	return res.Resp, res.Err
 }
 
-// finish completes one call's accounting and unwraps its result.
-func (c *Client) finish(res CallResult) (Response, error) {
-	rpcStats.inflight.Add(-1)
-	if res.Err != nil {
-		return Response{}, res.Err
+// await waits for a sent call's result under the per-call deadline; Call
+// and Go both end here. A call that times out severs its connection
+// generation (see ErrCallTimeout) and fails with ErrCallTimeout.
+func (c *Client) await(pc *pendingCall, gen int) CallResult {
+	defer rpcStats.inflight.Add(-1)
+	defer pendingCalls.Put(pc)
+	timeout := c.callTimeout()
+	if timeout < 0 {
+		return <-pc.done
 	}
-	return res.Resp, nil
+	timer := startDeadline(timeout)
+	select {
+	case res := <-pc.done:
+		if timer.Stop() {
+			deadlines.Put(timer)
+		}
+		return res
+	case <-timer.C:
+	}
+	// Prefer a reply that raced the timer.
+	select {
+	case res := <-pc.done:
+		return res
+	default:
+	}
+	c.severGen(gen)
+	<-pc.done // reader drains every pending call once severed
+	rpcStats.timeouts.Add(1)
+	return CallResult{Err: fmt.Errorf("rpc: receive: %w: no reply within %v", ErrCallTimeout, timeout)}
 }
 
 // send encodes one request on the current connection, registering it in the
@@ -331,19 +320,28 @@ func (c *Client) send(ctx obs.SpanCtx, req any, sent *bool) (*pendingCall, int, 
 	}
 	c.seq++
 	seq := c.seq
-	pc := &pendingCall{done: make(chan CallResult, 1)}
+	pc := pendingCalls.Get().(*pendingCall)
 	c.pending[seq] = pc
 	if c.timeout == 0 {
 		c.timeout = DefaultCallTimeout
 	}
-	enc, conn, gen, timeout := c.enc, c.conn, c.gen, c.timeout
+	conn, gen, timeout := c.conn, c.gen, c.timeout
 	c.mu.Unlock()
-	// Encode outside mu: a stalled peer blocks the write (bounded by the
+	// Write outside mu: a stalled peer blocks the write (bounded by the
 	// deadline below) and must not stop the reader from draining replies.
 	// sendMu is still held, so no other sender or redial can interleave.
 	*sent = true
+	frame, err := appendRequest(c.wbuf, envelope{seq: seq, trace: ctx, req: req})
+	c.wbuf = reuse(frame)
+	if err != nil {
+		// Nothing reached the wire; the connection is still good.
+		c.mu.Lock()
+		delete(c.pending, seq)
+		c.mu.Unlock()
+		return nil, 0, err
+	}
 	setWriteDeadline(conn, timeout)
-	err := enc.Encode(envelope{Seq: seq, Trace: ctx, Req: req})
+	_, err = conn.Write(frame)
 	clearWriteDeadline(conn)
 	if err != nil {
 		c.mu.Lock()
@@ -358,15 +356,24 @@ func (c *Client) send(ctx obs.SpanCtx, req any, sent *bool) (*pendingCall, int, 
 	return pc, gen, nil
 }
 
-// readLoop is the per-connection reader: it decodes replies and routes each
-// to its pending call by sequence id. On any decode failure it fails every
-// in-flight call on this connection — the gob stream is positional, so a
-// half-read reply kills the whole connection, exactly as a child-agent
-// death would.
-func (c *Client) readLoop(dec *gob.Decoder, gen int) {
+// readLoop is the per-connection reader: it decodes reply frames and routes
+// each to its pending call by sequence id. On any read or decode failure it
+// fails every in-flight call on this connection — a stream that lost its
+// framing cannot be trusted past that point, so a bad reply kills the
+// whole connection, exactly as a child-agent death would.
+func (c *Client) readLoop(conn io.Reader, gen int) {
+	r := bufio.NewReader(conn)
+	var buf []byte
+	resp := new(Response)
 	for {
-		var rep reply
-		if err := dec.Decode(&rep); err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err != nil {
+			c.connFailed(gen, err)
+			return
+		}
+		seq, err := decodeReply(buf, resp)
+		buf = reuse(buf)
+		if err != nil {
 			c.connFailed(gen, err)
 			return
 		}
@@ -375,11 +382,11 @@ func (c *Client) readLoop(dec *gob.Decoder, gen int) {
 			c.mu.Unlock()
 			return
 		}
-		pc := c.pending[rep.Seq]
-		delete(c.pending, rep.Seq)
+		pc := c.pending[seq]
+		delete(c.pending, seq)
 		c.mu.Unlock()
 		if pc != nil {
-			pc.done <- CallResult{Resp: rep.Resp}
+			pc.done <- CallResult{Resp: *resp}
 		}
 	}
 }
@@ -417,7 +424,7 @@ func (c *Client) ensureConnLocked() error {
 	if !c.started {
 		// First use of a conn handed to NewClient: start its reader.
 		c.started = true
-		go c.readLoop(gob.NewDecoder(c.conn), c.gen)
+		go c.readLoop(c.conn, c.gen)
 	}
 	if !c.broken {
 		return nil
@@ -434,11 +441,10 @@ func (c *Client) ensureConnLocked() error {
 		return fmt.Errorf("rpc: reconnect: %w", err)
 	}
 	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
 	c.broken = false
 	c.severedByCall = false
 	c.gen++
-	go c.readLoop(gob.NewDecoder(conn), c.gen)
+	go c.readLoop(conn, c.gen)
 	rpcStats.reconnects.Add(1)
 	c.tracer.Emit(0, "rpc", "rpc_reconnect", "")
 	return nil
@@ -471,8 +477,10 @@ func (c *Client) callTimeout() time.Duration {
 	return c.timeout
 }
 
-// setWriteDeadline bounds how long an encode may block (a stalled server
-// that stops reading would otherwise park the sender forever).
+// setWriteDeadline bounds how long a frame write may block (a stalled
+// server that stops reading would otherwise park the sender forever). It is
+// cleared after the write: an armed net.Pipe deadline holds a timer that
+// would keep a closed pipe reachable until it fires.
 func setWriteDeadline(conn io.ReadWriteCloser, timeout time.Duration) {
 	if timeout < 0 {
 		return
@@ -515,7 +523,7 @@ func (c *Client) Go(req any) <-chan CallResult {
 	return c.GoCtx(obs.SpanCtx{}, req)
 }
 
-// GoCtx is Go with a span context carried in the envelope (see CallCtx).
+// GoCtx is Go with a span context carried in the request frame (see CallCtx).
 func (c *Client) GoCtx(ctx obs.SpanCtx, req any) <-chan CallResult {
 	out := make(chan CallResult, 1)
 	var sent bool
@@ -524,37 +532,7 @@ func (c *Client) GoCtx(ctx obs.SpanCtx, req any) <-chan CallResult {
 		out <- CallResult{Err: err}
 		return out
 	}
-	timeout := c.callTimeout()
-	if timeout < 0 {
-		go func() {
-			res := <-pc.done
-			rpcStats.inflight.Add(-1)
-			out <- res
-		}()
-		return out
-	}
-	go func() {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		select {
-		case res := <-pc.done:
-			rpcStats.inflight.Add(-1)
-			out <- res
-		case <-timer.C:
-			select {
-			case res := <-pc.done:
-				rpcStats.inflight.Add(-1)
-				out <- res
-				return
-			default:
-			}
-			c.severGen(gen)
-			<-pc.done
-			rpcStats.inflight.Add(-1)
-			rpcStats.timeouts.Add(1)
-			out <- CallResult{Err: fmt.Errorf("rpc: receive: %w: no reply within %v", ErrCallTimeout, timeout)}
-		}
-	}()
+	go func() { out <- c.await(pc, gen) }()
 	return out
 }
 
@@ -643,28 +621,42 @@ func (s *Server) Close() {
 func ServeConn(conn io.ReadWriteCloser, agent Agent) {
 	defer agent.Close()
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
 	queue := make(chan envelope, serverPipelineDepth)
 	done := make(chan struct{})
 	go func() {
-		// Handler loop: owns enc; serial dispatch in arrival order.
+		// Handler loop: owns the reply buffer; serial dispatch in arrival
+		// order.
 		defer close(done)
+		var wbuf []byte
 		for env := range queue {
-			resp, severed := safeHandle(agent, env.Trace, env.Req)
+			resp, severed := safeHandle(agent, env.trace, env.req)
 			if severed {
 				conn.Close()
 				return
 			}
-			if err := enc.Encode(reply{Seq: env.Seq, Resp: resp}); err != nil {
+			frame, err := appendReply(wbuf, env.seq, &resp)
+			if err != nil {
+				// Too large for one frame: say so instead of severing (a
+				// short reply always fits).
+				frame, _ = appendReply(frame, env.seq, &Response{Code: "severe", Msg: err.Error()})
+			}
+			wbuf = reuse(frame)
+			if _, err := conn.Write(frame); err != nil {
 				conn.Close()
 				return
 			}
 		}
 	}()
+	r := bufio.NewReader(conn)
+	var buf []byte
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err != nil {
+			break
+		}
+		env, err := decodeRequest(buf)
+		buf = reuse(buf)
+		if err != nil {
 			break
 		}
 		select {
@@ -680,7 +672,7 @@ func ServeConn(conn io.ReadWriteCloser, agent Agent) {
 
 // safeHandle dispatches one request through the server-side fault point and
 // the agent, converting injected crashes into a severed connection. Agents
-// implementing TracedAgent receive the envelope's span context.
+// implementing TracedAgent receive the request frame's span context.
 func safeHandle(agent Agent, ctx obs.SpanCtx, req any) (resp Response, severed bool) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -704,7 +696,7 @@ func safeHandle(agent Agent, ctx obs.SpanCtx, req any) (resp Response, severed b
 }
 
 // LocalPair creates an in-process client/agent pair over a synchronous
-// pipe: the same gob protocol and child-agent serialization without
+// pipe: the same frames and child-agent serialization without
 // sockets. Tests and single-process benchmarks use it. Reconnects spawn a
 // fresh agent, exactly as redialling a TCP server would.
 func LocalPair(factory AgentFactory) *Client {

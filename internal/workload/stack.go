@@ -29,7 +29,7 @@ import (
 
 // Stack is one deployment: a host database and one or more DLFMs, each
 // with its file server and archive server, wired over in-process pipes
-// (the same gob protocol as TCP without the socket overhead, keeping
+// (the same frames as TCP without the socket overhead, keeping
 // benchmarks about the system rather than the kernel).
 type Stack struct {
 	Host  *hostdb.DB
