@@ -38,6 +38,7 @@ type ChildAgent struct {
 	ops     int  // operations since the last intermediate commit
 	txnRow  bool // an 'F' row for cur exists in dlfm_txn
 	wrote   bool // cur performed a write on this DLFM (read-only vote)
+	log     commitLog
 
 	// settled is the transaction this connection last committed in one
 	// phase. The host sends another request on a connection only once it
@@ -46,6 +47,26 @@ type ChildAgent struct {
 	// deletes that outcome in its local commit. A connection that ends
 	// first leaves it to the host's sweep.
 	settled int64
+}
+
+// commitLog is what cur's requests did on this agent that its commit must
+// finish, written down as each request runs: the files whose ownership
+// changes, with their group's attributes (fixed when the group is created)
+// as read by the link or unlink; the groups dropped; whether archive
+// copies were queued and entries marked deleted. A one-phase commit works
+// from it instead of reading the rows back. Before that commit nothing of
+// cur is visible to anyone else, so the log cannot go stale — unless a
+// request undid another (a backout, an unlink of cur's own link) or moved
+// files wholesale (migration); those set stale and the commit takes the
+// query path. A prepared transaction's rows are committed and others may
+// change them, so phase 2 always takes the query path; of the log only
+// ngroups, recorded at prepare, is used there.
+type commitLog struct {
+	work     []chownWork
+	ngroups  int64 // groups marked deleted (exact even when stale)
+	archived bool  // an archive copy was queued ('W')
+	marked   bool  // an entry was marked deleted (del_txn)
+	stale    bool
 }
 
 // NewAgent implements rpc.AgentFactory: one child agent per connection.
@@ -235,6 +256,7 @@ func (a *ChildAgent) resetTxn() {
 	a.ops = 0
 	a.txnRow = false
 	a.wrote = false
+	a.log = commitLog{}
 }
 
 // maybeBatchCommit implements the Section 4 lesson for long-running
@@ -276,6 +298,7 @@ func (a *ChildAgent) linkFile(r rpc.LinkFileReq) rpc.Response {
 	if r.InBackout {
 		// Undo a link performed earlier in this transaction: delete the
 		// entry it inserted, plus its pending archive request.
+		a.log.stale = true
 		if _, err := a.srv.stmts.get(sqlBackoutLink).Exec(a.conn, value.Str(r.Name), value.Int(r.Txn)); err != nil {
 			return fail(err)
 		}
@@ -305,11 +328,13 @@ func (a *ChildAgent) linkFile(r rpc.LinkFileReq) rpc.Response {
 		}
 		return fail(err)
 	}
+	a.log.work = grp.appendChown(a.log.work, r.Name, fi.Owner, true)
 	if grp.recovery {
 		if _, err := a.srv.stmts.get(sqlInsertArchive).Exec(a.conn,
 			value.Str(r.Name), value.Int(r.RecID), value.Int(r.Grp), value.Int(r.Txn)); err != nil {
 			return fail(err)
 		}
+		a.log.archived = true
 	}
 	if err := a.maybeBatchCommit(); err != nil {
 		return fail(err)
@@ -331,6 +356,7 @@ func (a *ChildAgent) unlinkFile(r rpc.UnlinkFileReq) rpc.Response {
 	}
 	a.wrote = true
 	if r.InBackout {
+		a.log.stale = true
 		n, err := a.srv.stmts.get(sqlBackoutUnlink).Exec(a.conn,
 			value.Str(r.Name), value.Int(r.Txn), value.Int(r.RecID))
 		if err != nil {
@@ -350,7 +376,12 @@ func (a *ChildAgent) unlinkFile(r rpc.UnlinkFileReq) rpc.Response {
 	if len(rows) == 0 {
 		return failCode("notlinked", "file %s is not linked", r.Name)
 	}
-	grpID := rows[0][0].Int64()
+	grpID, owner := rows[0][0].Int64(), rows[0][2].Text()
+	if rows[0][3].Int64() == r.Txn {
+		// The entry is this transaction's own link: the log holds its
+		// takeover, which the commit must not perform.
+		a.log.stale = true
+	}
 	grp, err := a.srv.groupInfo(a.conn, grpID)
 	if err != nil {
 		return fail(err)
@@ -371,6 +402,8 @@ func (a *ChildAgent) unlinkFile(r rpc.UnlinkFileReq) rpc.Response {
 	if n == 0 {
 		return failCode("notlinked", "file %s is not linked", r.Name)
 	}
+	a.log.work = grp.appendChown(a.log.work, r.Name, owner, false)
+	a.log.marked = a.log.marked || !recovery
 	if err := a.maybeBatchCommit(); err != nil {
 		return fail(err)
 	}
@@ -412,13 +445,14 @@ func (a *ChildAgent) deleteGroup(r rpc.DeleteGroupReq) rpc.Response {
 	if n == 0 {
 		return failCode("nogroup", "file group %d does not exist or is already deleted", r.Grp)
 	}
+	a.log.ngroups += n
 	return ok
 }
 
-// prepare is phase 1: the number of groups this transaction deleted is
-// recorded with the transaction entry, the entry is inserted (or the
-// in-flight entry of a batched transaction promoted) as prepared, and the
-// local database commit hardens everything (Section 3.3).
+// prepare is phase 1: the number of groups this transaction deleted, from
+// the agent's log, is recorded with the transaction entry, the entry is
+// inserted (or the in-flight entry of a batched transaction promoted) as
+// prepared, and the local database commit hardens everything (Section 3.3).
 func (a *ChildAgent) prepare(r rpc.PrepareReq) rpc.Response {
 	if err := a.requireTxn(r.Txn); err != nil {
 		return failCode("severe", "%v", err)
@@ -437,12 +471,7 @@ func (a *ChildAgent) prepare(r rpc.PrepareReq) rpc.Response {
 		return rpc.Response{ReadOnly: true}
 	}
 	start := time.Now()
-	ngroups, _, err := a.srv.stmts.get(sqlCountGroupsDel).QueryInt(a.conn, value.Int(r.Txn))
-	if err != nil {
-		a.voteNo()
-		return fail(err)
-	}
-	if err := a.hardenTxn("P", ngroups); err != nil {
+	if err := a.hardenTxn("P", a.log.ngroups); err != nil {
 		a.voteNo()
 		return fail(err)
 	}
@@ -501,13 +530,14 @@ func (a *ChildAgent) abort(r rpc.AbortReq) rpc.Response {
 
 // onePhaseCommit commits a transaction this DLFM alone took part in: the
 // host makes it the decider. The transaction entry is hardened directly as
-// a kept one-phase outcome ('O') and the phase-2 work runs in the same
-// local transaction — one fsync and one RPC where classic 2PC needs two of
-// each. Any local failure before the commit aborts the transaction (the
-// decider votes no by dying); a lost acknowledgement is resolved by the
-// host with QueryOutcome against the kept entry, which stays until a later
-// request forgets it. The connection's previous one-phase outcome is
-// forgotten in the same local commit.
+// a kept one-phase outcome ('O') and the commit work runs in the same local
+// transaction — one fsync and one RPC where classic 2PC needs two of each —
+// from the agent's log (commitWork). Any local failure before the commit
+// aborts the transaction (the decider votes no by dying); a lost
+// acknowledgement is resolved by the host with QueryOutcome against the
+// kept entry, which stays until a later request forgets it. The
+// connection's previous one-phase outcome is forgotten in the same local
+// commit.
 func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 	if err := a.requireTxn(r.Txn); err != nil {
 		return failCode("severe", "%v", err)
@@ -536,10 +566,6 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 		a.resetTxn()
 		return ok
 	}
-	ngroups, _, err := a.srv.stmts.get(sqlCountGroupsDel).QueryInt(a.conn, value.Int(r.Txn))
-	if err != nil {
-		return fatal(err)
-	}
 	if a.settled != 0 {
 		if err := a.srv.forgetOutcomes(a.conn, []int64{a.settled}); err != nil {
 			return fatal(err)
@@ -547,10 +573,10 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 	}
 	// A QueryOutcome that already answered "none" left an 'A' entry: the
 	// insert collides on the unique txnid and the commit is refused.
-	if err := a.hardenTxn("O", ngroups); err != nil {
+	if err := a.hardenTxn("O", a.log.ngroups); err != nil {
 		return fatal(err)
 	}
-	work, readied, err := a.srv.gatherCommitWork(a.conn, r.Txn)
+	work, readied, err := a.commitWork()
 	if err != nil {
 		return fatal(err)
 	}
@@ -558,7 +584,7 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 		return fatal(err)
 	}
 	a.settled = r.Txn
-	a.srv.afterCommit(a.conn, r.Txn, ngroups, work, readied)
+	a.srv.afterCommit(r.Txn, a.log.ngroups, work, readied)
 	a.srv.stats.OnePhaseCommits.Add(1)
 	a.resetTxn()
 	if err := fpPhase2BeforeAck.FireDetail("onephase"); err != nil {
@@ -567,6 +593,28 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 		return failCode("severe", "one-phase commit ack of transaction %d: %v", r.Txn, err)
 	}
 	return ok
+}
+
+// commitWork does the one-phase commit's per-file work inside the open
+// local transaction, from the agent's log: archive copies queued are made
+// visible to the Copy daemon and entries marked deleted are purged, each
+// only if the log says there are any, and the chown work is the log's. A
+// stale log takes the query path instead.
+func (a *ChildAgent) commitWork() ([]chownWork, bool, error) {
+	if a.log.stale {
+		return a.srv.gatherCommitWork(a.conn, a.cur)
+	}
+	if a.log.archived {
+		if _, err := a.srv.stmts.get(sqlReadyArchives).Exec(a.conn, value.Int(a.cur)); err != nil {
+			return nil, false, err
+		}
+	}
+	if a.log.marked {
+		if _, err := a.srv.stmts.get(sqlPurgeMarkedDel).Exec(a.conn, value.Int(a.cur)); err != nil {
+			return nil, false, err
+		}
+	}
+	return a.log.work, a.log.archived, nil
 }
 
 // hardenTxn writes the current transaction's entry in state: inserted, or
@@ -708,14 +756,15 @@ func (s *Server) forgetOutcomes(conn *engine.Conn, txns []int64) error {
 	return nil
 }
 
-// groupInfo reads one file group's attributes within the caller's
-// transaction.
+// group is one file group's attributes.
 type group struct {
 	recovery bool
 	fullctl  bool
 	state    string
 }
 
+// groupInfo reads one file group's attributes within the caller's
+// transaction; nil means no such group.
 func (s *Server) groupInfo(conn *engine.Conn, grpID int64) (*group, error) {
 	rows, err := s.stmts.get(sqlGroupLookup).Query(conn, value.Int(grpID))
 	if err != nil {
@@ -729,6 +778,16 @@ func (s *Server) groupInfo(conn *engine.Conn, grpID int64) (*group, error) {
 		fullctl:  rows[0][1].Int64() == 1,
 		state:    rows[0][2].Text(),
 	}, nil
+}
+
+// appendChown appends the chown work a commit owes for name linked
+// (takeover) or unlinked in group g. Only full control and recovery change
+// the file's ownership or mode; any other group, or none, adds nothing.
+func (g *group) appendChown(work []chownWork, name, owner string, takeover bool) []chownWork {
+	if g == nil || !g.fullctl && !g.recovery {
+		return work
+	}
+	return append(work, chownWork{name: name, owner: owner, takeover: takeover, fullctl: g.fullctl})
 }
 
 var _ fsim.Upcaller = (*upcallDaemon)(nil)

@@ -80,6 +80,7 @@ func (a *ChildAgent) migratePut(r rpc.MigratePutReq) rpc.Response {
 		return failCode("severe", "%v", err)
 	}
 	a.wrote = true
+	a.log.stale = true // replaces entries wholesale; the commit re-reads them
 	grp, err := a.srv.groupInfo(a.conn, r.Grp)
 	if err != nil {
 		return fail(err)
@@ -136,6 +137,7 @@ func (a *ChildAgent) migrateDel(r rpc.MigrateDelReq) rpc.Response {
 		return failCode("severe", "%v", err)
 	}
 	a.wrote = true
+	a.log.stale = true
 	var n int64
 	for _, name := range r.Names {
 		nn, err := a.srv.stmts.get(sqlDropFileByNameChk).Exec(a.conn,

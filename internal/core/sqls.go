@@ -16,7 +16,7 @@ const (
 	// Link / unlink (Section 3.2).
 	sqlInsertFile = `INSERT INTO dlfm_file (name, grpid, recid, lnk_txn, unlnk_txn, unlnk_time, state, chkflag, del_txn, owner)
 		VALUES (?, ?, ?, ?, 0, 0, 'L', 0, 0, ?)`
-	sqlFindLinked      = `SELECT grpid, recid, owner FROM dlfm_file WHERE name = ? AND state = 'L' AND chkflag = 0`
+	sqlFindLinked      = `SELECT grpid, recid, owner, lnk_txn FROM dlfm_file WHERE name = ? AND state = 'L' AND chkflag = 0`
 	sqlUnlinkKeep      = `UPDATE dlfm_file SET state = 'U', chkflag = ?, unlnk_txn = ?, unlnk_time = ? WHERE name = ? AND state = 'L' AND chkflag = 0`
 	sqlUnlinkMarkDel   = `UPDATE dlfm_file SET state = 'U', chkflag = ?, unlnk_txn = ?, unlnk_time = ?, del_txn = ? WHERE name = ? AND state = 'L' AND chkflag = 0`
 	sqlBackoutLink     = `DELETE FROM dlfm_file WHERE name = ? AND lnk_txn = ? AND state = 'L'`
@@ -31,7 +31,6 @@ const (
 	// Groups (Sections 3, 3.5).
 	sqlInsertGroup       = `INSERT INTO dlfm_group (grpid, recovery, fullctl, state, crt_txn, del_txn, expiry) VALUES (?, ?, ?, 'A', ?, 0, 0)`
 	sqlMarkGroupDeleted  = `UPDATE dlfm_group SET state = 'D', del_txn = ? WHERE grpid = ? AND state = 'A'`
-	sqlCountGroupsDel    = `SELECT COUNT(*) FROM dlfm_group WHERE del_txn = ?`
 	sqlGroupsOfTxn       = `SELECT grpid FROM dlfm_group WHERE del_txn = ? AND state = 'D'`
 	sqlRestoreGroups     = `UPDATE dlfm_group SET state = 'A', del_txn = 0 WHERE del_txn = ?`
 	sqlAbortGroups       = `DELETE FROM dlfm_group WHERE crt_txn = ?`
@@ -103,7 +102,7 @@ const (
 var allSQL = []string{
 	sqlInsertFile, sqlFindLinked, sqlUnlinkKeep, sqlUnlinkMarkDel,
 	sqlBackoutLink, sqlBackoutLinkArch, sqlBackoutUnlink, sqlInsertArchive,
-	sqlGroupLookup, sqlInsertGroup, sqlMarkGroupDeleted, sqlCountGroupsDel,
+	sqlGroupLookup, sqlInsertGroup, sqlMarkGroupDeleted,
 	sqlGroupsOfTxn, sqlRestoreGroups, sqlAbortGroups, sqlGroupTombstone, sqlExpiredGroups,
 	sqlDeleteGroupRow, sqlLinkedFilesOfGrp, sqlUnlinkedOfGroup,
 	sqlDropFileByNameChk, sqlInsertTxn, sqlTxnState, sqlSetTxnState,

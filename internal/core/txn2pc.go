@@ -24,12 +24,13 @@ var fpPhase2Work = fault.P("core.phase2.work")
 // keeps retrying until it succeeds."
 
 // chownWork is one takeover/release the Chown daemon performs after the
-// phase-2 local commit succeeds.
+// commit's local commit succeeds. Only files in a group with full control
+// or recovery have any (group.appendChown).
 type chownWork struct {
 	name     string
-	grpID    int64
 	owner    string // original owner, for release
 	takeover bool
+	fullctl  bool // takeover: the database owns the file; else read-only
 }
 
 // phase2Commit completes txn's commit, retrying on deadlock/timeout until
@@ -126,7 +127,7 @@ func (s *Server) tryCommit(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 	if err := conn.Commit(); err != nil {
 		return fatal(err)
 	}
-	s.afterCommit(conn, txn, ngroups, work, readied)
+	s.afterCommit(txn, ngroups, work, readied)
 	return ok, false
 }
 
@@ -136,8 +137,20 @@ func (s *Server) tryCommit(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 // via the Chown daemon (Sections 3.2, 3.5); failures there (file vanished)
 // are tolerated, the metadata is authoritative — then the daemons with new
 // work.
-func (s *Server) afterCommit(conn *engine.Conn, txn, ngroups int64, work []chownWork, readied bool) {
-	s.applyChownWork(conn, work)
+func (s *Server) afterCommit(txn, ngroups int64, work []chownWork, readied bool) {
+	for _, w := range work {
+		switch {
+		case !w.takeover:
+			s.chown.release(w.name, w.owner)
+		case w.fullctl:
+			// Full access control: the file becomes the database's.
+			s.chown.takeover(w.name)
+		default:
+			// Recovery: write permission is removed so the asynchronous
+			// backup reads a stable image (Section 3.4).
+			s.chown.makeReadOnly(w.name)
+		}
+	}
 	if ngroups > 0 {
 		s.delGroup.notify(txn)
 	}
@@ -148,28 +161,39 @@ func (s *Server) afterCommit(conn *engine.Conn, txn, ngroups int64, work []chown
 }
 
 // gatherCommitWork performs the per-file commit work inside the caller's
-// open transaction — collect the chown takeovers/releases before purging
+// open transaction by reading it back from the tables — collect the chown
+// releases and takeovers, with their groups' attributes, before purging
 // (the delayed-delete entries being purged are exactly the no-recovery
 // unlinked files that still need their release), make queued archive
 // copies visible to the Copy daemon, and physically delete entries the
 // transaction marked deleted, which is only safe now that the outcome is
-// decided (Section 3.2). Shared by phase-2 commit and the fused
-// one-phase-commit handler; readied reports whether the Copy daemon has new
-// work.
+// decided (Section 3.2). Phase 2 always takes this path: the prepared rows
+// were committed locally and others may have changed them since. A
+// one-phase commit takes it only when its agent's log is stale. Releases
+// come before takeovers, so a name unlinked and linked again by the
+// transaction ends taken over. readied reports whether the Copy daemon has
+// new work.
 func (s *Server) gatherCommitWork(conn *engine.Conn, txn int64) (work []chownWork, readied bool, err error) {
-	linked, err := s.stmts.get(sqlFilesLinkedBy).Query(conn, value.Int(txn))
-	if err != nil {
-		return nil, false, err
-	}
-	for _, r := range linked {
-		work = append(work, chownWork{name: r[0].Text(), grpID: r[1].Int64(), owner: r[2].Text(), takeover: true})
-	}
-	unlinked, err := s.stmts.get(sqlFilesUnlinkedBy).Query(conn, value.Int(txn))
-	if err != nil {
-		return nil, false, err
-	}
-	for _, r := range unlinked {
-		work = append(work, chownWork{name: r[0].Text(), grpID: r[1].Int64(), owner: r[2].Text()})
+	groups := make(map[int64]*group)
+	for _, q := range []struct {
+		sql      string
+		takeover bool
+	}{{sqlFilesUnlinkedBy, false}, {sqlFilesLinkedBy, true}} {
+		rows, err := s.stmts.get(q.sql).Query(conn, value.Int(txn))
+		if err != nil {
+			return nil, false, err
+		}
+		for _, r := range rows {
+			id := r[1].Int64()
+			g, seen := groups[id]
+			if !seen {
+				if g, err = s.groupInfo(conn, id); err != nil {
+					return nil, false, err
+				}
+				groups[id] = g
+			}
+			work = g.appendChown(work, r[0].Text(), r[2].Text(), q.takeover)
+		}
 	}
 	// Only a group with recovery queues archive copies; waking the Copy
 	// daemon for nothing would cost it a scan of the Archive table.
@@ -181,41 +205,6 @@ func (s *Server) gatherCommitWork(conn *engine.Conn, txn int64) (work []chownWor
 		return nil, false, err
 	}
 	return work, n > 0, nil
-}
-
-// applyChownWork resolves group attributes and drives the Chown daemon.
-func (s *Server) applyChownWork(conn *engine.Conn, work []chownWork) {
-	groups := make(map[int64]*group)
-	for _, w := range work {
-		if _, seen := groups[w.grpID]; !seen {
-			g, err := s.groupInfo(conn, w.grpID)
-			if err == nil {
-				conn.Commit()
-			} else if conn.InTxn() {
-				conn.Rollback()
-			}
-			groups[w.grpID] = g
-		}
-	}
-	for _, w := range work {
-		g := groups[w.grpID]
-		if g == nil {
-			continue
-		}
-		if w.takeover {
-			switch {
-			case g.fullctl:
-				// Full access control: the file becomes the database's.
-				s.chown.takeover(w.name)
-			case g.recovery:
-				// Write permission is removed so the asynchronous backup
-				// reads a stable image (Section 3.4).
-				s.chown.makeReadOnly(w.name)
-			}
-		} else if g.fullctl || g.recovery {
-			s.chown.release(w.name, w.owner)
-		}
-	}
 }
 
 // phase2Abort undoes txn. Before prepare this is a plain local rollback

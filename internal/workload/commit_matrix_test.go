@@ -46,6 +46,19 @@ type commitShape struct {
 	// many files on fs1 in a batched transaction committing locally every
 	// two operations.
 	load int
+	// unlink adds an unlink to the transaction. Table cu on fs1 has a
+	// recovery column r and a full-control column n without recovery; a
+	// committed row links /cu/old in n, and the transaction deletes that
+	// row and links /cu/new in r. The commit must purge the marked entry of
+	// /cu/old and release the file, ready /cu/new's archive copy and make
+	// the file read-only.
+	unlink bool
+	// backout: before the unlink, a statement links /cu/tmp and then fails
+	// on a missing file, so the host backs its link out at fs1.
+	backout bool
+	// dlfmRestart: fs1 crashes and restarts between PrepareGlobal and
+	// CommitGlobal (xa only), so a fresh agent runs phase 2.
+	dlfmRestart bool
 
 	wantErr     error // nil, or the error class Commit returns
 	want        commitDelta
@@ -120,6 +133,15 @@ func TestCommitShapeMatrix(t *testing.T) {
 			wantErr: hostdb.ErrTxnRolledBack, want: commitDelta{Aborts: 1}, wantParked: 1},
 		{name: "xa commit", servers: fs1, link: []int{1}, xa: true,
 			want: commitDelta{Commits: 1}},
+		// Unlinks in one phase: the agent commits from its own log, or
+		// re-reads the rows when a backout makes the log stale; a
+		// prepared transaction's phase 2 always re-reads them.
+		{name: "1pc link with recovery, unlink without", servers: fs1, unlink: true,
+			want: commitDelta{Commits: 1, OnePhase: 1}},
+		{name: "1pc unlink after a statement backout", servers: fs1, unlink: true, backout: true,
+			want: commitDelta{Commits: 1, OnePhase: 1}},
+		{name: "xa unlink, DLFM restart before phase 2", servers: fs1, unlink: true, xa: true, dlfmRestart: true,
+			want: commitDelta{Commits: 1}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) { runCommitShape(t, sh) })
@@ -158,6 +180,10 @@ func runCommitShape(t *testing.T, sh commitShape) {
 		t.Fatal(err)
 	}
 
+	if sh.unlink {
+		setupUnlinkShape(t, st)
+	}
+
 	s := st.Host.Session()
 	params := []value.Value{value.Int(1), value.Null, value.Null}
 	for _, col := range sh.link {
@@ -179,6 +205,24 @@ func runCommitShape(t *testing.T, sh commitShape) {
 			t.Fatal(err)
 		}
 		loadRows = append(loadRows, value.Row{value.Int(int64(10 + i)), value.Str(hostdb.URL("fs1", path))})
+	}
+	backouts := st.DLFMs["fs1"].Stats().Backouts
+	if sh.backout {
+		if _, err := s.Exec(`INSERT INTO cu (id, r, n) VALUES (3, ?, ?)`,
+			value.Str(hostdb.URL("fs1", "/cu/tmp")), value.Str(hostdb.URL("fs1", "/cu/missing"))); !errors.Is(err, hostdb.ErrStatement) {
+			t.Fatalf("statement linking a missing file = %v, want %v", err, hostdb.ErrStatement)
+		}
+		if st.DLFMs["fs1"].Stats().Backouts == backouts {
+			t.Fatal("the failed statement backed nothing out")
+		}
+	}
+	if sh.unlink {
+		if _, err := s.Exec(`DELETE FROM cu WHERE id = 1`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec(`INSERT INTO cu (id, r, n) VALUES (2, ?, NULL)`, value.Str(hostdb.URL("fs1", "/cu/new"))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, server := range sh.enlist {
 		if err := s.Enlist(server); err != nil {
@@ -206,6 +250,10 @@ func runCommitShape(t *testing.T, sh commitShape) {
 		}
 	case sh.xa:
 		if err = s.PrepareGlobal(); err == nil {
+			if sh.dlfmRestart {
+				st.Kill("fs1")
+				st.Restart("fs1")
+			}
 			err = s.CommitGlobal()
 		}
 	default:
@@ -255,7 +303,11 @@ func runCommitShape(t *testing.T, sh commitShape) {
 		if _, err := st.Host.ResolveIndoubts(); err != nil {
 			t.Fatal(err)
 		}
-		vs, err := CheckConsistency(st, "cm")
+		tables := []string{"cm"}
+		if sh.unlink {
+			tables = append(tables, "cu")
+		}
+		vs, err := CheckConsistency(st, tables...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,6 +320,70 @@ func runCommitShape(t *testing.T, sh commitShape) {
 				st.PreparedTxns(), st.Host.Engine().IndoubtTxns(), keptOutcomes(t, st), vs)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if sh.unlink {
+		checkUnlinkShape(t, st)
+	}
+}
+
+// setupUnlinkShape creates table cu on fs1 — a recovery column r and a
+// full-control column n without recovery — and commits a row linking
+// /cu/old in n.
+func setupUnlinkShape(t *testing.T, st *Stack) {
+	t.Helper()
+	if err := st.Host.CreateTable("CREATE TABLE cu (id BIGINT, r VARCHAR, n VARCHAR)",
+		hostdb.DatalinkCol{Name: "r", Recovery: true}, hostdb.DatalinkCol{Name: "n", FullControl: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"/cu/old", "/cu/new", "/cu/tmp"} {
+		if err := st.FS["fs1"].Create(name, "app", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := st.Host.Session()
+	defer s.Close()
+	if _, err := s.Exec(`INSERT INTO cu (id, r, n) VALUES (1, NULL, ?)`, value.Str(hostdb.URL("fs1", "/cu/old"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkUnlinkShape checks what the unlink shape's commit leaves at fs1:
+// /cu/old's entry purged and the file released to its owner, /cu/new's
+// archive copy readied and the file read-only, /cu/tmp untouched.
+func checkUnlinkShape(t *testing.T, st *Stack) {
+	t.Helper()
+	files, err := st.DLFMs["fs1"].DB().DumpTable("dlfm_file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range files {
+		if name := r[0].Text(); name == "/cu/old" || name == "/cu/tmp" {
+			t.Errorf("dlfm_file keeps an entry for %s: %v", name, r)
+		}
+	}
+	archive, err := st.DLFMs["fs1"].DB().DumpTable("dlfm_archive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range archive {
+		if r[0].Text() == "/cu/new" && r[4].Text() == "W" {
+			t.Errorf("the archive copy of /cu/new was never readied: %v", r)
+		}
+	}
+	for _, want := range []struct {
+		name     string
+		readOnly bool
+	}{{"/cu/old", false}, {"/cu/new", true}, {"/cu/tmp", false}} {
+		fi, err := st.FS["fs1"].Stat(want.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Owner != "app" || fi.ReadOnly != want.readOnly {
+			t.Errorf("%s: owner %q, read-only %v; want owner app, read-only %v", want.name, fi.Owner, fi.ReadOnly, want.readOnly)
+		}
 	}
 }
 
