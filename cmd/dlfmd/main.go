@@ -9,7 +9,7 @@
 //	dlfmd -listen :7117 -name fs1 -wal /var/dlfm/fs1.wal
 //	dlfmd -listen :7117 -name fs1 -data-dir /var/dlfm/fs1 -checkpoint-every 1m
 //	dlfmd -listen :7117 -name fs1 -admin :7118 \
-//	      -fleet :7119 -fleet-peers fs2=127.0.0.1:7218,fs3=127.0.0.1:7318
+//	      -fleet-peers fs2=127.0.0.1:7218,fs3=127.0.0.1:7318
 //
 // -wal alone gives a durable log with in-memory tables, rebuilt at start
 // by replaying the whole log. -data-dir keeps the tables on pages, and
@@ -18,10 +18,10 @@
 //
 // The file server and archive server are in-process simulations (see
 // DESIGN.md); -seed-files pre-creates files so a remote host can link them.
-// With -fleet / -fleet-peers the daemon also serves the cluster-wide
-// observability plane (federated /cluster/metrics, stitched /cluster/txn,
-// merged /cluster/waitgraph, /cluster/health), scraping each peer's admin
-// endpoint over HTTP.
+// With -fleet-peers the -admin endpoint also serves the cluster-wide
+// observability plane under /cluster/ (federated metrics, stitched
+// transactions, the merged wait graph and a health verdict taken every
+// second), scraping each peer's admin endpoint over HTTP.
 package main
 
 import (
@@ -43,6 +43,10 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpc"
 )
+
+// healthEvery is how often the fleet plane takes a health verdict: each
+// verdict judges the window since the previous one.
+const healthEvery = time.Second
 
 // sampleRate maps the flag's 0 (= tracing off) onto the tracer config's
 // "disabled" sentinel; in the config itself 0 means "use the default".
@@ -66,9 +70,7 @@ func main() {
 	seed := flag.Int("seed-files", 0, "pre-create this many files under /data for experiments")
 	admin := flag.String("admin", "", "HTTP admin address serving /metrics, /debug/txn/<id>, /debug/locks (empty = disabled)")
 	fsyncDelay := flag.Duration("fsync-delay", 0, "modeled log-device fsync latency added to every WAL sync (0 = none)")
-	fleetAddr := flag.String("fleet", "", "HTTP address serving the fleet /cluster/* plane over this member plus -fleet-peers (empty = disabled; also mounted on -admin)")
-	fleetPeers := flag.String("fleet-peers", "", "comma-separated name=host:port admin endpoints of the other fleet members to federate")
-	fleetEvery := flag.Duration("fleet-scrape-every", time.Second, "fleet health watchdog check interval")
+	fleetPeers := flag.String("fleet-peers", "", "comma-separated name=host:port admin endpoints of the other fleet members to federate on -admin's /cluster/ (empty = disabled)")
 	traceRing := flag.Int("trace-ring", obs.DefaultSpanCapacity, "completed-span ring capacity per process")
 	traceSample := flag.Float64("trace-sample", 1.0, "fraction of transactions traced with spans (0 disables, 1 traces all)")
 	slowThreshold := flag.Duration("slow-txn-threshold", obs.DefaultSlowThreshold, "commits slower than this keep their full span tree in /debug/slow (<0 disables)")
@@ -76,6 +78,9 @@ func main() {
 	flag.Parse()
 	if *ckptEvery != 0 && *dataDir == "" {
 		log.Fatal("dlfmd: -checkpoint-every needs -data-dir: without pages there is nothing to checkpoint")
+	}
+	if *fleetPeers != "" && *admin == "" {
+		log.Fatal("dlfmd: -fleet-peers needs -admin: the fleet plane is served on its /cluster/")
 	}
 
 	obs.SetDefaultTracerConfig(obs.TracerConfig{
@@ -122,7 +127,7 @@ func main() {
 	// peer is another dlfmd's admin endpoint, scraped over HTTP exactly as
 	// a Prometheus server would.
 	var plane *fleet.Plane
-	if *fleetAddr != "" || *fleetPeers != "" {
+	if *fleetPeers != "" {
 		sources := []fleet.Source{
 			fleet.NewLocalSource(*name, srv.Tracer(), srv.WaitEdges, srv.Obs()),
 		}
@@ -137,18 +142,12 @@ func main() {
 			}
 			sources = append(sources, fleet.NewHTTPSource(pname, addr, 0))
 		}
-		plane = fleet.NewPlane(sources, fleet.HealthConfig{Interval: *fleetEvery})
-		if *fleetAddr != "" {
-			fleetSrv, err := plane.Start(*fleetAddr)
-			if err != nil {
-				log.Fatalf("dlfmd: fleet listener: %v", err)
+		plane = fleet.NewPlane(sources...)
+		go func() {
+			for range time.Tick(healthEvery) {
+				plane.Check()
 			}
-			defer fleetSrv.Close()
-			log.Printf("dlfmd: fleet endpoint on http://%s (/cluster/metrics, /cluster/txn/<id>, /cluster/waitgraph, /cluster/health)", fleetSrv.Addr())
-		} else {
-			plane.Watchdog.Start()
-			defer plane.Watchdog.Stop()
-		}
+		}()
 	}
 
 	if *admin != "" {
@@ -170,6 +169,9 @@ func main() {
 		}
 		defer adminSrv.Close()
 		log.Printf("dlfmd: admin endpoint on http://%s (/metrics, /debug/locks, /debug/txn/<id>, /debug/slow, /debug/waitgraph, /debug/waitedges)", adminSrv.Addr())
+		if plane != nil {
+			log.Printf("dlfmd: fleet plane on http://%s/cluster/ (metrics, txn/<id>, waitgraph, health)", adminSrv.Addr())
+		}
 	}
 
 	ln, err := net.Listen("tcp", *listen)

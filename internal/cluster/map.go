@@ -58,10 +58,6 @@ type Map struct {
 	members  map[string]bool
 	moving   map[int]*moveState
 	inflight []int // per-slot writers currently holding a route
-	// degraded marks members the fleet health monitor has flagged; they
-	// keep owning their slots (correctness is unaffected) but read routing
-	// deprioritizes them and drains avoid them as targets.
-	degraded map[string]bool
 
 	routes        obs.Counter
 	fenceWaits    obs.Counter
@@ -88,7 +84,6 @@ func New(name string, cfg Config) (*Map, error) {
 		table:    Table{Slots: cfg.Slots, Owners: make([]string, cfg.Slots)},
 		members:  make(map[string]bool),
 		moving:   make(map[int]*moveState),
-		degraded: make(map[string]bool),
 		moveHist: obs.NewHistogram(),
 	}
 	if cfg.Store != nil {
@@ -133,11 +128,6 @@ func (m *Map) register(reg *obs.Registry) {
 		defer m.mu.Unlock()
 		return float64(len(m.moving))
 	})
-	reg.GaugeFunc("cluster_degraded_members", func() float64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return float64(len(m.degraded))
-	})
 	reg.RegisterCounter("cluster_routes_total", &m.routes)
 	reg.RegisterCounter("cluster_fence_waits_total", &m.fenceWaits)
 	reg.RegisterCounter("cluster_fence_timeouts_total", &m.fenceTimeouts)
@@ -179,40 +169,6 @@ func (m *Map) HasMember(server string) bool {
 	return m.members[server]
 }
 
-// SetDegraded flags (or clears) a member as degraded. Ownership is
-// untouched — a degraded member still serves its slots — but ReadOwners
-// orders healthy replicas first and DrainPlan avoids degraded targets.
-// Flagging a name that is not (or no longer) a member is harmless: health
-// monitoring races membership changes by design.
-func (m *Map) SetDegraded(server string, degraded bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if degraded {
-		m.degraded[server] = true
-	} else {
-		delete(m.degraded, server)
-	}
-}
-
-// Degraded returns the sorted set of currently flagged members.
-func (m *Map) Degraded() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.degraded))
-	for s := range m.degraded {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsDegraded reports whether server is currently flagged.
-func (m *Map) IsDegraded(server string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.degraded[server]
-}
-
 // Snapshot returns a copy of the current table.
 func (m *Map) Snapshot() Table {
 	m.mu.Lock()
@@ -231,9 +187,7 @@ func (m *Map) Owner(path string) string {
 // ReadOwners returns every member that may hold path's link state right
 // now: the current owner, plus the move target while the path's slot is
 // mid-migration (dual read). Consistency checking accepts either side
-// during a move. Healthy members sort ahead of degraded ones, so a read
-// path that tries owners in order lands on a healthy replica when the
-// fleet health monitor has flagged one side of a move.
+// during a move.
 func (m *Map) ReadOwners(path string) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -241,9 +195,6 @@ func (m *Map) ReadOwners(path string) []string {
 	owners := []string{m.table.Owners[slot]}
 	if ms := m.moving[slot]; ms != nil && ms.mv.To != owners[0] {
 		owners = append(owners, ms.mv.To)
-	}
-	if len(owners) > 1 && m.degraded[owners[0]] && !m.degraded[owners[1]] {
-		owners[0], owners[1] = owners[1], owners[0]
 	}
 	return owners
 }
@@ -338,17 +289,6 @@ func (m *Map) DrainPlan(server string) ([]Move, error) {
 	}
 	if len(rest) == 0 {
 		return nil, fmt.Errorf("cluster %s: cannot drain the last member %s", m.name, server)
-	}
-	// Don't pour a drain onto a member the health monitor has flagged —
-	// unless every survivor is flagged, in which case capacity wins.
-	healthy := rest[:0:len(rest)]
-	for _, s := range rest {
-		if !m.degraded[s] {
-			healthy = append(healthy, s)
-		}
-	}
-	if len(healthy) > 0 {
-		rest = healthy
 	}
 	sort.Strings(rest)
 	var out []Move
@@ -519,17 +459,11 @@ func (m *Map) Describe() any {
 	for _, n := range m.inflight {
 		inflight += n
 	}
-	var degraded []string
-	for s := range m.degraded {
-		degraded = append(degraded, s)
-	}
-	sort.Strings(degraded)
 	return map[string]any{
 		"cluster":          m.name,
 		"version":          m.table.Version,
 		"slots":            m.table.Slots,
 		"members":          m.memberListLocked(),
-		"degraded":         degraded,
 		"slots_by_member":  perMember,
 		"moving":           moving,
 		"inflight_writers": inflight,

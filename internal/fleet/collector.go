@@ -2,72 +2,12 @@ package fleet
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// Collector owns the member source set and produces federated views. A
-// scrape is partial-tolerant by design: a member that errors (restarting,
-// partitioned, gone) is reported in the view's Errors map and skipped —
-// the fleet view degrades to the reachable members instead of failing.
-type Collector struct {
-	mu      sync.Mutex
-	sources []Source
-
-	scrapes    obs.Counter
-	scrapeErrs obs.Counter
-}
-
-// NewCollector builds a collector over the given member sources.
-func NewCollector(sources ...Source) *Collector {
-	return &Collector{sources: sources}
-}
-
-// Instrument exposes the collector's counters on reg (fleet_* names).
-func (c *Collector) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.RegisterCounter("fleet_scrapes_total", &c.scrapes)
-	reg.RegisterCounter("fleet_scrape_errors_total", &c.scrapeErrs)
-	reg.GaugeFunc("fleet_members", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.sources))
-	})
-}
-
-// Add registers a member source (a member joining the fleet live).
-func (c *Collector) Add(src Source) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sources = append(c.sources, src)
-}
-
-// Remove drops the source named name; reports whether one was removed.
-func (c *Collector) Remove(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, s := range c.sources {
-		if s.Name() == name {
-			c.sources = append(c.sources[:i], c.sources[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Sources returns a snapshot of the current source list.
-func (c *Collector) Sources() []Source {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Source(nil), c.sources...)
-}
 
 // FederatedView is one fleet-wide metrics scrape: the bucket-exact
 // aggregate (counters and gauges summed, histograms merged bucket-wise),
@@ -81,186 +21,76 @@ type FederatedView struct {
 }
 
 // Federate scrapes every member concurrently and merges the snapshots.
-// Members that fail land in Errors; the aggregate covers the rest, so by
-// construction every aggregate counter equals the sum of the per-member
-// values in the same view.
-func (c *Collector) Federate() FederatedView {
-	sources := c.Sources()
+// A scrape is partial-tolerant by design: a member that errors
+// (restarting, partitioned, gone) lands in Errors and the aggregate covers
+// the rest, so by construction every aggregate counter equals the sum of
+// the per-member values in the same view.
+func (p *Plane) Federate() FederatedView {
 	view := FederatedView{
 		At:      time.Now(),
 		Agg:     obs.NewMetricsSnapshot(),
-		Members: make(map[string]obs.MetricsSnapshot, len(sources)),
+		Members: make(map[string]obs.MetricsSnapshot, len(p.sources)),
 		Errors:  make(map[string]string),
 	}
-	type result struct {
-		name string
-		snap obs.MetricsSnapshot
-		err  error
-	}
-	results := make([]result, len(sources))
+	snaps := make([]obs.MetricsSnapshot, len(p.sources))
+	errs := make([]error, len(p.sources))
 	var wg sync.WaitGroup
-	for i, src := range sources {
+	for i, src := range p.sources {
 		wg.Add(1)
 		go func(i int, src Source) {
 			defer wg.Done()
-			snap, err := src.Metrics()
-			results[i] = result{src.Name(), snap, err}
+			snaps[i], errs[i] = src.Metrics()
 		}(i, src)
 	}
 	wg.Wait()
-	for _, r := range results {
-		c.scrapes.Inc()
-		if r.err != nil {
-			c.scrapeErrs.Inc()
-			view.Errors[r.name] = r.err.Error()
+	for i, src := range p.sources {
+		if errs[i] != nil {
+			view.Errors[src.Name()] = errs[i].Error()
 			continue
 		}
-		view.Members[r.name] = r.snap
-		if err := view.Agg.Merge(r.snap); err != nil {
+		view.Members[src.Name()] = snaps[i]
+		if err := view.Agg.Merge(snaps[i]); err != nil {
 			// Mismatched histogram bounds: those series are skipped but the
 			// member's other metrics already merged. Surface it.
-			view.Errors[r.name] = err.Error()
+			view.Errors[src.Name()] = err.Error()
 		}
 	}
 	return view
 }
 
-// WriteProm renders the federated view in Prometheus text exposition:
-// for every metric one aggregate series (no labels) plus one series per
-// member labelled member="<name>". Scrape errors surface as
-// fleet_member_up{member=...} 0/1 gauges so dashboards see partial views.
-func (v FederatedView) WriteProm(w io.Writer) error {
-	memberNames := make([]string, 0, len(v.Members))
+// names returns every member of the view, reachable or not, sorted.
+func (v FederatedView) names() []string {
+	out := make([]string, 0, len(v.Members)+len(v.Errors))
 	for n := range v.Members {
-		memberNames = append(memberNames, n)
+		out = append(out, n)
 	}
-	sort.Strings(memberNames)
-
-	// Liveness first: one series per member, dead members included.
-	upNames := append([]string(nil), memberNames...)
 	for n := range v.Errors {
 		if _, ok := v.Members[n]; !ok {
-			upNames = append(upNames, n)
+			out = append(out, n)
 		}
 	}
-	sort.Strings(upNames)
-	if _, err := fmt.Fprintf(w, "# HELP fleet_member_up Whether the member answered the last scrape.\n# TYPE fleet_member_up gauge\n"); err != nil {
-		return err
-	}
-	for _, n := range upNames {
-		up := 1
+	sort.Strings(out)
+	return out
+}
+
+// series lays the view out for obs.WritePromText: the unlabelled
+// aggregate, one member="<name>" copy per reachable member, and a
+// fleet_member_up 0/1 gauge per member so dashboards see partial views.
+func (v FederatedView) series() []obs.Series {
+	out := []obs.Series{{Snap: v.Agg}}
+	var up []obs.Series
+	for _, n := range v.names() {
+		label := []string{fmt.Sprintf("member=%q", n)}
+		if snap, ok := v.Members[n]; ok {
+			out = append(out, obs.Series{Labels: label, Snap: snap})
+		}
+		val := 1.0
 		if _, dead := v.Errors[n]; dead {
-			up = 0
+			val = 0
 		}
-		if _, err := fmt.Fprintf(w, "fleet_member_up{member=%q} %d\n", n, up); err != nil {
-			return err
-		}
+		up = append(up, obs.Series{Labels: label, Snap: obs.MetricsSnapshot{
+			Gauges: map[string]float64{"fleet_member_up": val},
+		}})
 	}
-
-	names := make([]string, 0, len(v.Agg.Counters))
-	for n := range v.Agg.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# HELP %s Cumulative count.\n# TYPE %s counter\n%s %d\n", n, n, n, v.Agg.Counters[n]); err != nil {
-			return err
-		}
-		for _, m := range memberNames {
-			if val, ok := v.Members[m].Counters[n]; ok {
-				if _, err := fmt.Fprintf(w, "%s{member=%q} %d\n", n, m, val); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	names = names[:0]
-	for n := range v.Agg.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# HELP %s Current value.\n# TYPE %s gauge\n%s %g\n", n, n, n, v.Agg.Gauges[n]); err != nil {
-			return err
-		}
-		for _, m := range memberNames {
-			if val, ok := v.Members[m].Gauges[n]; ok {
-				if _, err := fmt.Fprintf(w, "%s{member=%q} %g\n", n, m, val); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	names = names[:0]
-	for n := range v.Agg.Hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# HELP %s Duration histogram in seconds.\n# TYPE %s histogram\n", n, n); err != nil {
-			return err
-		}
-		if err := writeHistProm(w, n, "", v.Agg.Hists[n]); err != nil {
-			return err
-		}
-		for _, m := range memberNames {
-			if d, ok := v.Members[m].Hists[n]; ok {
-				if err := writeHistProm(w, n, fmt.Sprintf("member=%q", m), d); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// writeHistProm renders one histogram series (cumulative le buckets in
-// seconds, _sum, _count, and the exact-_max companion), with extraLabel
-// (already rendered, may be empty) on every line.
-func writeHistProm(w io.Writer, name, extraLabel string, d obs.HistogramData) error {
-	render := func(suffix string, labels ...string) string {
-		all := labels
-		if extraLabel != "" {
-			all = append([]string{extraLabel}, labels...)
-		}
-		if len(all) == 0 {
-			return name + suffix
-		}
-		return name + suffix + "{" + strings.Join(all, ",") + "}"
-	}
-	var cum int64
-	for i, b := range d.BoundsNS {
-		cum += d.BucketCounts[i]
-		if _, err := fmt.Fprintf(w, "%s %d\n", render("_bucket", fmt.Sprintf("le=%q", formatSeconds(b))), cum); err != nil {
-			return err
-		}
-	}
-	if len(d.BucketCounts) > 0 {
-		cum += d.BucketCounts[len(d.BucketCounts)-1]
-	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", render("_bucket", `le="+Inf"`), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s %g\n", render("_sum"), time.Duration(d.SumNS).Seconds()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", render("_count"), d.Count); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %g\n", render("_max"), time.Duration(d.MaxNS).Seconds())
-	return err
-}
-
-// formatSeconds mirrors the obs exposition format for bucket bounds:
-// nanoseconds as seconds without trailing-zero noise.
-func formatSeconds(ns int64) string {
-	s := fmt.Sprintf("%.9f", time.Duration(ns).Seconds())
-	s = strings.TrimRight(s, "0")
-	s = strings.TrimSuffix(s, ".")
-	if s == "" {
-		s = "0"
-	}
-	return s
+	return append(out, up...)
 }

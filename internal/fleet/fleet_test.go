@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"fmt"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,8 +63,7 @@ func snapWith(counters map[string]int64) obs.MetricsSnapshot {
 func TestFederatePartial(t *testing.T) {
 	healthy := &stubSource{name: "fs1", snap: snapWith(map[string]int64{"engine_commits_total": 10})}
 	dead := &stubSource{name: "fs2", err: errors.New("connection refused")}
-	c := NewCollector(healthy, dead)
-	view := c.Federate()
+	view := NewPlane(healthy, dead).Federate()
 
 	if view.Agg.Counters["engine_commits_total"] != 10 {
 		t.Fatalf("aggregate lost healthy member: %v", view.Agg.Counters)
@@ -77,7 +79,7 @@ func TestFederatePartial(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := view.WriteProm(&buf); err != nil {
+	if err := obs.WritePromText(&buf, view.series()...); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -98,7 +100,7 @@ func TestFederatePartial(t *testing.T) {
 func TestFederateSumsMembers(t *testing.T) {
 	a := &stubSource{name: "fs1", snap: snapWith(map[string]int64{"x_total": 3, "y_total": 1})}
 	b := &stubSource{name: "fs2", snap: snapWith(map[string]int64{"x_total": 4})}
-	view := NewCollector(a, b).Federate()
+	view := NewPlane(a, b).Federate()
 	for name, agg := range view.Agg.Counters {
 		var sum int64
 		for _, m := range view.Members {
@@ -125,7 +127,7 @@ func TestStitchSharedStore(t *testing.T) {
 
 	host := NewLocalSource("host", tr, nil)
 	fs1 := NewLocalSource("fs1", tr, nil) // same store
-	st := NewCollector(host, fs1).Stitch(42)
+	st := NewPlane(host, fs1).Stitch(42)
 
 	if len(st.Spans) != 2 {
 		t.Fatalf("stitched %d spans, want 2 (dedup failed): %+v", len(st.Spans), st.Spans)
@@ -152,7 +154,7 @@ func TestStitchSeparateStores(t *testing.T) {
 	rc.End()
 	rr.End()
 
-	st := NewCollector(
+	st := NewPlane(
 		NewLocalSource("host", host, nil),
 		NewLocalSource("fs2", remote, nil),
 	).Stitch(trace)
@@ -201,7 +203,7 @@ func TestStitchAttribution(t *testing.T) {
 		// A mark under a leaf span leaves it a leaf.
 		{Trace: trace, ID: 5, Parent: 3, Comp: "fs2/wal", Op: "log_full", Mark: true},
 	}
-	st := NewCollector(&stubSource{name: "host", spans: spans}).Stitch(trace)
+	st := NewPlane(&stubSource{name: "host", spans: spans}).Stitch(trace)
 	if st.Dominant != "fs2/wal_fsync" {
 		t.Fatalf("Dominant = %q, want fs2/wal_fsync (ByMember %v)", st.Dominant, st.ByMember)
 	}
@@ -228,7 +230,7 @@ func TestMergeWaitGraphCrossMemberCycle(t *testing.T) {
 		// A purely local edge without trace bindings stays member-scoped.
 		{WaiterTxn: 7, HolderTxn: 9},
 	}}
-	g := NewCollector(host, fs1).MergeWaitGraph()
+	g := NewPlane(host, fs1).MergeWaitGraph()
 
 	if len(g.Edges) != 3 {
 		t.Fatalf("merged %d edges, want 3: %+v", len(g.Edges), g.Edges)
@@ -279,76 +281,129 @@ func (m *driftMember) refresh() {
 	m.src.snap = s
 }
 
-// TestWatchdogDriftHysteresis: a member whose fsync p99 drifts 20x above
-// the fleet median is flagged — after FlagAfter consecutive bad checks,
-// not the first — and cleared again after ClearAfter good ones, with
-// OnChange firing exactly on the transitions.
+// transition is one flag or clear between two verdicts.
+type transition struct {
+	member   string
+	degraded bool
+	reason   string
+}
+
+// verdicts records a view per check over p's sources and feeds each
+// (previous view, view, previous verdict) to Verdict, collecting the
+// flag/clear transitions between consecutive verdicts.
+type verdicts struct {
+	p           *Plane
+	prev        FederatedView
+	last        Health
+	transitions []transition
+}
+
+func newVerdicts(sources ...Source) *verdicts {
+	p := NewPlane(sources...)
+	return &verdicts{p: p, prev: p.Federate()}
+}
+
+func (v *verdicts) check(t *testing.T) Health {
+	t.Helper()
+	cur := v.p.Federate()
+	h := Verdict(v.prev, cur, v.last)
+	if !h.At.Equal(cur.At) {
+		t.Fatalf("verdict At %v, want its view's %v: Verdict reads no clock", h.At, cur.At)
+	}
+	was := map[string]bool{}
+	for _, n := range v.last.Degraded {
+		was[n] = true
+	}
+	for _, m := range h.Members {
+		if m.Degraded != was[m.Member] {
+			v.transitions = append(v.transitions, transition{m.Member, m.Degraded, strings.Join(m.Reasons, "; ")})
+		}
+	}
+	v.prev, v.last = cur, h
+	return h
+}
+
+// TestWatchdogDriftHysteresis: a member whose fsync latency drifts 20x above
+// the fleet median is flagged — after FlagAfter consecutive bad verdicts,
+// not the first — and cleared again after clearAfter good ones, with
+// exactly one flag and one clear between the recorded verdicts.
 func TestWatchdogDriftHysteresis(t *testing.T) {
 	m1, m2, victim := newDriftMember("fs1"), newDriftMember("fs2"), newDriftMember("fs3")
-	c := NewCollector(m1.src, m2.src, victim.src)
-
-	type change struct {
-		member   string
-		degraded bool
-		reason   string
-	}
-	var changes []change
-	w := NewWatchdog(c, HealthConfig{
-		MinWindowCount: 4,
-		FlagAfter:      2,
-		ClearAfter:     2,
-		DriftFactor:    4,
-		DriftMin:       2 * time.Millisecond,
-		OnChange: func(member string, degraded bool, reason string) {
-			changes = append(changes, change{member, degraded, reason})
-		},
-	})
+	v := newVerdicts(m1.src, m2.src, victim.src)
 
 	badRound := func() {
-		m1.observe(8, 500*time.Microsecond)
-		m2.observe(8, 500*time.Microsecond)
-		victim.observe(8, 10*time.Millisecond)
+		m1.observe(MinWindowCount, 500*time.Microsecond)
+		m2.observe(MinWindowCount, 500*time.Microsecond)
+		victim.observe(MinWindowCount, 10*time.Millisecond)
 	}
 	goodRound := func() {
-		m1.observe(8, 500*time.Microsecond)
-		m2.observe(8, 500*time.Microsecond)
-		victim.observe(8, 500*time.Microsecond)
+		m1.observe(MinWindowCount, 500*time.Microsecond)
+		m2.observe(MinWindowCount, 500*time.Microsecond)
+		victim.observe(MinWindowCount, 500*time.Microsecond)
 	}
 
-	badRound()
-	rep := w.Check()
-	if len(rep.Degraded) != 0 {
-		t.Fatalf("flagged after one bad check, want FlagAfter=2 hysteresis: %v", rep.Degraded)
+	for i := 1; i < FlagAfter; i++ {
+		badRound()
+		if h := v.check(t); len(h.Degraded) != 0 {
+			t.Fatalf("flagged after %d bad verdicts, want FlagAfter=%d hysteresis: %v", i, FlagAfter, h.Degraded)
+		}
 	}
 	badRound()
-	rep = w.Check()
-	if len(rep.Degraded) != 1 || rep.Degraded[0] != "fs3" {
-		t.Fatalf("after 2 bad checks Degraded = %v, want [fs3]", rep.Degraded)
+	h := v.check(t)
+	if len(h.Degraded) != 1 || h.Degraded[0] != "fs3" {
+		t.Fatalf("after %d bad verdicts Degraded = %v, want [fs3]", FlagAfter, h.Degraded)
 	}
-	if len(changes) != 1 || !changes[0].degraded || changes[0].member != "fs3" {
-		t.Fatalf("OnChange calls = %+v, want one flag for fs3", changes)
+	if len(v.transitions) != 1 || !v.transitions[0].degraded || v.transitions[0].member != "fs3" {
+		t.Fatalf("transitions = %+v, want one flag for fs3", v.transitions)
 	}
-	if !strings.Contains(changes[0].reason, "wal_sync_seconds") {
-		t.Fatalf("flag reason %q does not name the drifting series", changes[0].reason)
+	if !strings.Contains(v.transitions[0].reason, "wal_sync_seconds") {
+		t.Fatalf("flag reason %q does not name the drifting series", v.transitions[0].reason)
 	}
 
-	goodRound()
-	rep = w.Check()
-	if len(rep.Degraded) != 1 {
-		t.Fatalf("cleared after one good check, want ClearAfter=2: %v", rep.Degraded)
+	for i := 1; i < clearAfter; i++ {
+		goodRound()
+		if h := v.check(t); len(h.Degraded) != 1 {
+			t.Fatalf("cleared after %d good verdicts, want clearAfter=%d: %v", i, clearAfter, h.Degraded)
+		}
 	}
 	goodRound()
-	rep = w.Check()
-	if len(rep.Degraded) != 0 {
-		t.Fatalf("still degraded after 2 good checks: %v", rep.Degraded)
+	if h := v.check(t); len(h.Degraded) != 0 {
+		t.Fatalf("still degraded after %d good verdicts: %v", clearAfter, h.Degraded)
 	}
-	if len(changes) != 2 || changes[1].degraded {
-		t.Fatalf("OnChange calls = %+v, want flag then clear", changes)
+	if len(v.transitions) != 2 || v.transitions[1].degraded {
+		t.Fatalf("transitions = %+v, want flag then clear", v.transitions)
 	}
 	// Healthy members never flapped.
-	for _, ch := range changes {
-		if ch.member != "fs3" {
-			t.Fatalf("healthy member %s transitioned: %+v", ch.member, changes)
+	for _, tr := range v.transitions {
+		if tr.member != "fs3" {
+			t.Fatalf("healthy member %s transitioned: %+v", tr.member, v.transitions)
+		}
+	}
+}
+
+// TestVerdictSlowHealthySync: one slow sync on a healthy member does not
+// hide a member whose every sync is 16× slower. In each recorded window
+// fs1 takes one 3 ms sync among its 500 µs ones, fs2 syncs at 8 ms and fs3
+// at 500 µs. Judged on each window's p99 (with 8 syncs, its slowest), fs1's
+// 3 ms would be the fleet median and fs2's 8 ms would stay under 4× it.
+func TestVerdictSlowHealthySync(t *testing.T) {
+	fs1, fs2, fs3 := newDriftMember("fs1"), newDriftMember("fs2"), newDriftMember("fs3")
+	v := newVerdicts(fs1.src, fs2.src, fs3.src)
+	var h Health
+	for w := 0; w < FlagAfter; w++ {
+		fs1.observe(MinWindowCount-1, 500*time.Microsecond)
+		fs1.observe(1, 3*time.Millisecond)
+		fs2.observe(MinWindowCount, 8*time.Millisecond)
+		fs3.observe(MinWindowCount, 500*time.Microsecond)
+		h = v.check(t)
+	}
+	if len(h.Degraded) != 1 || h.Degraded[0] != "fs2" {
+		t.Fatalf("after %d windows Degraded = %v, want [fs2]; fleet median %.2fms, members %+v",
+			FlagAfter, h.Degraded, h.FleetMedianP50MS, h.Members)
+	}
+	for _, m := range h.Members {
+		if m.Member == "fs2" && !strings.Contains(strings.Join(m.Reasons, " "), "wal_sync_seconds") {
+			t.Fatalf("fs2 flagged for %v, want wal_sync_seconds drift", m.Reasons)
 		}
 	}
 }
@@ -358,14 +413,16 @@ func TestWatchdogDriftHysteresis(t *testing.T) {
 func TestWatchdogUnreachable(t *testing.T) {
 	ok := &stubSource{name: "fs1", snap: obs.NewMetricsSnapshot()}
 	dead := &stubSource{name: "fs2", err: errors.New("dial tcp: connection refused")}
-	w := NewWatchdog(NewCollector(ok, dead), HealthConfig{FlagAfter: 2, ClearAfter: 2})
-	w.Check()
-	rep := w.Check()
-	if len(rep.Degraded) != 1 || rep.Degraded[0] != "fs2" {
-		t.Fatalf("Degraded = %v, want [fs2]", rep.Degraded)
+	v := newVerdicts(ok, dead)
+	var h Health
+	for i := 0; i < FlagAfter; i++ {
+		h = v.check(t)
+	}
+	if len(h.Degraded) != 1 || h.Degraded[0] != "fs2" {
+		t.Fatalf("Degraded = %v, want [fs2]", h.Degraded)
 	}
 	var fs2 MemberHealth
-	for _, m := range rep.Members {
+	for _, m := range h.Members {
 		if m.Member == "fs2" {
 			fs2 = m
 		}
@@ -374,13 +431,14 @@ func TestWatchdogUnreachable(t *testing.T) {
 		t.Fatalf("unreachable member health = %+v", fs2)
 	}
 
-	// The member comes back: flag clears after ClearAfter good checks.
+	// The member comes back: the flag clears after clearAfter good verdicts.
 	dead.err = nil
 	dead.snap = obs.NewMetricsSnapshot()
-	w.Check()
-	rep = w.Check()
-	if len(rep.Degraded) != 0 {
-		t.Fatalf("recovered member still degraded: %v", rep.Degraded)
+	for i := 0; i < clearAfter; i++ {
+		h = v.check(t)
+	}
+	if len(h.Degraded) != 0 {
+		t.Fatalf("recovered member still degraded: %v", h.Degraded)
 	}
 }
 
@@ -391,82 +449,120 @@ func TestWatchdogGaugePressure(t *testing.T) {
 	snap.Gauges["wal_group_commit_queue"] = 64
 	hot := &stubSource{name: "fs1", snap: snap}
 	cool := &stubSource{name: "fs2", snap: obs.NewMetricsSnapshot()}
-	w := NewWatchdog(NewCollector(hot, cool), HealthConfig{WALQueueMax: 16, FlagAfter: 1})
-	rep := w.Check()
-	if len(rep.Degraded) != 1 || rep.Degraded[0] != "fs1" {
-		t.Fatalf("Degraded = %v, want [fs1]", rep.Degraded)
+	v := newVerdicts(hot, cool)
+	var h Health
+	for i := 0; i < FlagAfter; i++ {
+		h = v.check(t)
+	}
+	if len(h.Degraded) != 1 || h.Degraded[0] != "fs1" {
+		t.Fatalf("Degraded = %v, want [fs1]", h.Degraded)
 	}
 }
 
-// TestWatchdogSLOBurn: the burn rate is violating-fraction / budget over
-// the fleet-aggregated windowed series.
-func TestWatchdogSLOBurn(t *testing.T) {
-	h := obs.NewHistogram()
-	for i := 0; i < 5; i++ {
-		h.Observe(100 * time.Millisecond) // violations (well above target)
+// blockingSource is a member whose scrape hangs, once blocked, until
+// release is closed; entered is signalled when a scrape starts hanging.
+type blockingSource struct {
+	*stubSource
+	blocked atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *blockingSource) Metrics() (obs.MetricsSnapshot, error) {
+	if s.blocked.Load() {
+		s.entered <- struct{}{}
+		<-s.release
 	}
-	for i := 0; i < 5; i++ {
-		h.Observe(10 * time.Microsecond)
+	return s.stubSource.Metrics()
+}
+
+// TestHealthAnswersDuringSlowScrape: /cluster/health serves the last
+// verdict at once while a check waits on a member's scrape, so one hung
+// member cannot blank the fleet's health view.
+func TestHealthAnswersDuringSlowScrape(t *testing.T) {
+	slow := &blockingSource{
+		stubSource: &stubSource{name: "fs1", snap: obs.NewMetricsSnapshot()},
+		entered:    make(chan struct{}),
+		release:    make(chan struct{}),
 	}
-	snap := obs.NewMetricsSnapshot()
-	snap.Hists["storm_txn_seconds"] = h.Export()
-	src := &stubSource{name: "host", snap: snap}
-	w := NewWatchdog(NewCollector(src), HealthConfig{
-		SLOTarget: time.Millisecond,
-		SLOBudget: 0.01,
-	})
-	rep := w.Check()
-	if rep.SLOWindowCount != 10 || rep.SLOWindowBad != 5 {
-		t.Fatalf("SLO window = %d/%d, want 5/10", rep.SLOWindowBad, rep.SLOWindowCount)
-	}
-	if rep.SLOBurnRate < 49 || rep.SLOBurnRate > 51 {
-		t.Fatalf("burn rate = %v, want ~50 (0.5 violating / 0.01 budget)", rep.SLOBurnRate)
-	}
-	// Second check with no new traffic: empty window, no burn.
-	rep = w.Check()
-	if rep.SLOWindowCount != 0 || rep.SLOBurnRate != 0 {
-		t.Fatalf("idle window SLO = %+v, want zero", rep)
+	p := NewPlane(slow)
+	first := p.Check()
+	slow.blocked.Store(true)
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		p.Check()
+	}()
+	defer func() { close(slow.release); <-checked }()
+	<-slow.entered
+
+	served := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		p.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/cluster/health", nil))
+		served <- rec
+	}()
+	select {
+	case rec := <-served:
+		var h Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatalf("/cluster/health: %v: %s", err, rec.Body.String())
+		}
+		if !h.At.Equal(first.At) {
+			t.Fatalf("/cluster/health served the verdict of %v, want the last finished one of %v", h.At, first.At)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("/cluster/health waited on a scrape in flight")
 	}
 }
 
-// TestPlaneRegistryNames: the plane self-instruments under fleet_* and
-// health_* — the names DESIGN.md's metrics table promises.
+// TestPlaneRegistryNames: /cluster/metrics carries the plane's own
+// health_degraded_members gauge and the per-member fleet_member_up
+// gauges, and none of the deleted fleet_*/health_* series.
 func TestPlaneRegistryNames(t *testing.T) {
-	src := &stubSource{name: "fs1", snap: obs.NewMetricsSnapshot()}
-	p := NewPlane([]Source{src}, HealthConfig{})
-	p.Collector.Federate()
-	p.Watchdog.Check()
-	var buf bytes.Buffer
-	if err := p.Registry().WriteProm(&buf); err != nil {
-		t.Fatal(err)
+	p := NewPlane(&stubSource{name: "fs1", snap: obs.NewMetricsSnapshot()})
+	p.Check()
+	rec := httptest.NewRecorder()
+	p.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/cluster/metrics", nil))
+	text := rec.Body.String()
+	for _, want := range []string{
+		`health_degraded_members{plane="fleet"} 0`,
+		`fleet_member_up{member="fs1"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("/cluster/metrics missing %s:\n%s", want, text)
+		}
 	}
-	text := buf.String()
-	for _, name := range []string{
+	for _, gone := range []string{
 		"fleet_members", "fleet_scrapes_total", "fleet_scrape_errors_total",
 		"health_checks_total", "health_flags_total", "health_clears_total",
-		"health_degraded_members", "fleet_slo_burn_rate",
+		"fleet_slo_burn_rate",
 	} {
-		if !strings.Contains(text, name) {
-			t.Fatalf("plane registry missing %s:\n%s", name, text)
+		if strings.Contains(text, gone) {
+			t.Fatalf("/cluster/metrics exposes deleted %s:\n%s", gone, text)
 		}
 	}
 }
 
-// TestCollectorConcurrency exercises the plane under churn: registry
-// writes, Add/Remove of members, federation, stitching, wait-graph merges,
-// and watchdog checks all racing. Run with -race this is the memory-safety
-// net for the scrape path.
+// TestCollectorConcurrency: registry writes race federation, stitching,
+// wait-graph merges and health checks. Run with -race this is the
+// memory-safety net for the scrape path.
 func TestCollectorConcurrency(t *testing.T) {
 	reg := obs.New().Label("server", "fs1")
 	tr := obs.NewTracerCfg(obs.TracerConfig{SampleRate: 1})
 	edges := func() []obs.WaitEdge {
 		return []obs.WaitEdge{{WaiterTxn: 1, HolderTxn: 2, WaiterTrace: 1, HolderTrace: 2}}
 	}
-	c := NewCollector(NewLocalSource("fs1", tr, edges, reg))
-	w := NewWatchdog(c, HealthConfig{FlagAfter: 1})
+	p := NewPlane(
+		NewLocalSource("fs1", tr, edges, reg),
+		&stubSource{name: "fs2", err: errors.New("restarting")},
+	)
 
 	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() { // registry writer
+		defer wg.Done()
 		h := reg.Histogram("wal_sync_seconds")
 		for i := 0; ; i++ {
 			select {
@@ -481,34 +577,33 @@ func TestCollectorConcurrency(t *testing.T) {
 			sp.End()
 		}
 	}()
-	go func() { // membership churn: a member restarting in a loop
-		for i := 0; ; i++ {
+	go func() { // a second reader checking health concurrently
+		defer wg.Done()
+		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			c.Add(&stubSource{name: "fs2", snap: obs.NewMetricsSnapshot()})
-			c.Remove("fs2")
-			c.Add(&stubSource{name: "fs3", err: fmt.Errorf("restarting %d", i)})
-			c.Remove("fs3")
+			p.Check()
 		}
 	}()
 
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		view := c.Federate()
+		view := p.Federate()
 		if _, ok := view.Members["fs1"]; !ok {
 			t.Fatal("stable member vanished from view")
 		}
-		c.Stitch(int64(1))
-		c.MergeWaitGraph()
-		w.Check()
+		p.Stitch(int64(1))
+		p.MergeWaitGraph()
+		p.Check()
 	}
 	close(done)
+	wg.Wait()
 
-	view := c.Federate()
+	view := p.Federate()
 	if view.Agg.Counters["engine_commits_total"] == 0 {
-		t.Fatal("no counters federated after churn")
+		t.Fatal("no counters federated")
 	}
 }

@@ -3,6 +3,8 @@ package fleet
 import (
 	"encoding/json"
 	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -65,9 +67,9 @@ func TestHTTPSourceScrape(t *testing.T) {
 }
 
 // TestHTTPMemberDiesMidFleet: a member's admin server going away turns its
-// source into a partial-view error — and the collector keeps serving the
-// remaining members. When the member restarts (new server, re-registered
-// source), the view is whole again without rebuilding the collector.
+// source into a partial-view error, and the plane keeps serving the
+// remaining members. When the member restarts on the same address, the
+// view is whole again without rebuilding the plane.
 func TestHTTPMemberDiesMidFleet(t *testing.T) {
 	regA := obs.New().Label("server", "fs1")
 	regA.Counter("engine_commits_total").Add(5)
@@ -75,20 +77,22 @@ func TestHTTPMemberDiesMidFleet(t *testing.T) {
 
 	regB := obs.New().Label("server", "fs2")
 	regB.Counter("engine_commits_total").Add(9)
-	srvB := httptest.NewServer((&obs.Admin{Registries: []*obs.Registry{regB}}).Handler())
+	adminB := (&obs.Admin{Registries: []*obs.Registry{regB}}).Handler()
+	srvB := httptest.NewServer(adminB)
+	addrB := srvB.Listener.Addr().String()
 
-	c := NewCollector(
+	p := NewPlane(
 		NewHTTPSource("fs1", srvA.URL, time.Second),
 		NewHTTPSource("fs2", srvB.URL, time.Second),
 	)
-	view := c.Federate()
+	view := p.Federate()
 	if len(view.Errors) != 0 || view.Agg.Counters["engine_commits_total"] != 14 {
 		t.Fatalf("healthy fleet view wrong: agg=%v errors=%v", view.Agg.Counters, view.Errors)
 	}
 
 	// fs2 dies mid-fleet.
 	srvB.Close()
-	view = c.Federate()
+	view = p.Federate()
 	if view.Errors["fs2"] == "" {
 		t.Fatalf("dead member not surfaced: %v", view.Errors)
 	}
@@ -96,28 +100,31 @@ func TestHTTPMemberDiesMidFleet(t *testing.T) {
 		t.Fatalf("partial aggregate = %v, want fs1 only", view.Agg.Counters)
 	}
 	// Stitch and wait-graph stay partial-tolerant too.
-	st := c.Stitch(1)
+	st := p.Stitch(1)
 	if st.Errors["fs2"] == "" {
 		t.Fatalf("stitch did not report dead member: %+v", st.Errors)
 	}
-	g := c.MergeWaitGraph()
+	g := p.MergeWaitGraph()
 	if g.Errors["fs2"] == "" {
 		t.Fatalf("waitgraph did not report dead member: %+v", g.Errors)
 	}
 
-	// fs2 restarts on a fresh port; swapping the source heals the fleet.
-	srvB2 := httptest.NewServer((&obs.Admin{Registries: []*obs.Registry{regB}}).Handler())
+	// fs2 restarts on its old address; the same source heals the fleet.
+	ln, err := net.Listen("tcp", addrB)
+	if err != nil {
+		t.Fatalf("restart fs2 on %s: %v", addrB, err)
+	}
+	srvB2 := &httptest.Server{Listener: ln, Config: &http.Server{Handler: adminB}}
+	srvB2.Start()
 	defer srvB2.Close()
-	c.Remove("fs2")
-	c.Add(NewHTTPSource("fs2", srvB2.URL, time.Second))
-	view = c.Federate()
+	view = p.Federate()
 	if len(view.Errors) != 0 || view.Agg.Counters["engine_commits_total"] != 14 {
 		t.Fatalf("healed fleet view wrong: agg=%v errors=%v", view.Agg.Counters, view.Errors)
 	}
 }
 
 // TestPlaneEndpointsOverHTTP: the four /cluster/* endpoints answer over a
-// real listener, with the watchdog flagging an unreachable member.
+// real listener, with the verdict flagging an unreachable member.
 func TestPlaneEndpointsOverHTTP(t *testing.T) {
 	reg := obs.New().Label("server", "fs1")
 	reg.Counter("engine_commits_total").Add(2)
@@ -126,10 +133,10 @@ func TestPlaneEndpointsOverHTTP(t *testing.T) {
 	deadSrv := httptest.NewServer((&obs.Admin{}).Handler())
 	deadSrv.Close()
 
-	p := NewPlane([]Source{
+	p := NewPlane(
 		NewHTTPSource("fs1", adminSrv.URL, time.Second),
 		NewHTTPSource("fs2", deadSrv.URL, time.Second),
-	}, HealthConfig{FlagAfter: 1})
+	)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
@@ -160,12 +167,14 @@ func TestPlaneEndpointsOverHTTP(t *testing.T) {
 			t.Fatalf("/cluster/metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	var rep HealthReport
-	if err := json.Unmarshal([]byte(get("/cluster/health?check=1")), &rep); err != nil {
-		t.Fatal(err)
+	var h Health
+	for i := 0; i < FlagAfter; i++ {
+		if err := json.Unmarshal([]byte(get("/cluster/health?check=1")), &h); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(rep.Degraded) != 1 || rep.Degraded[0] != "fs2" {
-		t.Fatalf("/cluster/health degraded = %v, want [fs2]", rep.Degraded)
+	if len(h.Degraded) != 1 || h.Degraded[0] != "fs2" {
+		t.Fatalf("/cluster/health degraded = %v, want [fs2]", h.Degraded)
 	}
 	if out := get("/cluster/waitgraph"); !strings.Contains(out, `"errors"`) {
 		t.Fatalf("/cluster/waitgraph did not surface dead member:\n%s", out)

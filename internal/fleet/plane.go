@@ -1,57 +1,67 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/obs"
 )
 
-// Plane bundles the fleet observability surface: the collector (metric
-// federation, trace stitching, waitgraph merge), the health watchdog, and
-// the registry carrying the plane's own fleet_*/health_* metrics.
+// Plane is the fleet observability surface over a fixed set of member
+// sources, served under /cluster/ (mount Handler on a member's admin
+// server through obs.Admin.Mounts):
 //
 //	/cluster/metrics    federated Prometheus view: aggregate + per-member
 //	/cluster/txn/<id>   stitched cross-member span tree for one txn
 //	/cluster/waitgraph  fleet-merged wait-for graph with cycles
-//	/cluster/health     latest health report (?check=1 forces a fresh one)
+//	/cluster/health     the last verdict (?check=1 takes a fresh one)
 type Plane struct {
-	Collector *Collector
-	Watchdog  *Watchdog
-	reg       *obs.Registry
+	sources []Source
+
+	checkMu sync.Mutex // serializes checks, scrape included
+	mu      sync.Mutex // guards view and health; never held across I/O
+	view    FederatedView
+	health  Health
 }
 
-// NewPlane assembles a plane over sources with the given health config.
-// The plane's own metrics live on a fresh registry tagged plane="fleet",
-// served first on /cluster/metrics.
-func NewPlane(sources []Source, hc HealthConfig) *Plane {
-	c := NewCollector(sources...)
-	w := NewWatchdog(c, hc)
-	reg := obs.New().Label("plane", "fleet")
-	c.Instrument(reg)
-	w.Instrument(reg)
-	return &Plane{Collector: c, Watchdog: w, reg: reg}
+// NewPlane builds a plane over sources.
+func NewPlane(sources ...Source) *Plane { return &Plane{sources: sources} }
+
+// Check federates the fleet and takes a verdict on the window since the
+// previous check. dlfmd calls it on a ticker; /cluster/health?check=1
+// calls it on demand.
+// A check waiting on a slow member's scrape blocks only the next check:
+// readers of the last verdict never wait on I/O.
+func (p *Plane) Check() Health {
+	p.checkMu.Lock()
+	defer p.checkMu.Unlock()
+	cur := p.Federate()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.health = Verdict(p.view, cur, p.health)
+	p.view = cur
+	return p.health
 }
 
-// Registry returns the plane's own metrics registry (fleet_*/health_*).
-func (p *Plane) Registry() *obs.Registry { return p.reg }
+func (p *Plane) last() Health {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.health
+}
 
-// Handler returns the /cluster/* mux. Mount it on a member's admin server
-// (obs.Admin.Mounts) or serve it standalone via Start.
+// Handler returns the /cluster/* mux.
 func (p *Plane) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		bw := bufio.NewWriter(w)
-		p.reg.WriteProm(bw) //nolint:errcheck
-		view := p.Collector.Federate()
-		view.WriteProm(bw) //nolint:errcheck
-		bw.Flush()
+		own := obs.Series{Labels: []string{`plane="fleet"`}, Snap: obs.MetricsSnapshot{
+			Gauges: map[string]float64{"health_degraded_members": float64(len(p.last().Degraded))},
+		}}
+		obs.WritePromText(w, append([]obs.Series{own}, p.Federate().series()...)...) //nolint:errcheck
 	})
 	mux.HandleFunc("/cluster/txn/", func(w http.ResponseWriter, req *http.Request) {
 		id := strings.TrimPrefix(req.URL.Path, "/cluster/txn/")
@@ -60,17 +70,17 @@ func (p *Plane) Handler() http.Handler {
 			http.Error(w, fmt.Sprintf("bad txn %q: %v", id, err), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, p.Collector.Stitch(trace))
+		writeJSON(w, p.Stitch(trace))
 	})
 	mux.HandleFunc("/cluster/waitgraph", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, p.Collector.MergeWaitGraph())
+		writeJSON(w, p.MergeWaitGraph())
 	})
 	mux.HandleFunc("/cluster/health", func(w http.ResponseWriter, req *http.Request) {
-		rep := p.Watchdog.Report()
-		if req.URL.Query().Get("check") == "1" || rep.At.IsZero() {
-			rep = p.Watchdog.Check()
+		h := p.last()
+		if req.URL.Query().Get("check") == "1" || h.At.IsZero() {
+			h = p.Check()
 		}
-		writeJSON(w, rep)
+		writeJSON(w, h)
 	})
 	return mux
 }
@@ -80,33 +90,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	enc.Encode(v) //nolint:errcheck
-}
-
-// Server is a running standalone fleet endpoint.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-	p   *Plane
-}
-
-// Start serves the /cluster/* surface on addr and begins the watchdog
-// ticker. Close stops both.
-func (p *Plane) Start(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: listen %s: %w", addr, err)
-	}
-	p.Watchdog.Start()
-	srv := &http.Server{Handler: p.Handler()}
-	go srv.Serve(ln) //nolint:errcheck
-	return &Server{ln: ln, srv: srv, p: p}, nil
-}
-
-// Addr returns the bound address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the watchdog ticker and the listener.
-func (s *Server) Close() error {
-	s.p.Watchdog.Stop()
-	return s.srv.Close()
 }

@@ -2,10 +2,9 @@
 // per-process obs registries of every DLFM member (and the host) into one
 // /cluster/metrics view, stitches span fragments scattered across member
 // tracers into single causal trees (/cluster/txn/<id>), merges per-member
-// lock wait-for graphs into one fleet graph (/cluster/waitgraph), and runs
-// a health watchdog that scores members from their pressure gauges and
-// latency drift (/cluster/health), flagging degraded members so the host
-// router can deprioritize them.
+// lock wait-for graphs into one fleet graph (/cluster/waitgraph), and
+// judges each member's health from its pressure gauges and fsync latency
+// drift against the fleet median (/cluster/health).
 //
 // The paper's deployment unit is a fleet of DLFMs behind one host DB;
 // every surface here answers the operator question the per-process admin
@@ -126,31 +125,29 @@ func (s *HTTPSource) Metrics() (obs.MetricsSnapshot, error) {
 }
 
 func (s *HTTPSource) Spans(trace int64) ([]obs.Span, error) {
-	resp, err := s.get(fmt.Sprintf("/debug/txn/%d", trace))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var body struct {
 		Spans []obs.Span `json:"spans"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("fleet: scrape %s spans: %w", s.name, err)
-	}
-	return body.Spans, nil
+	err := s.getJSON(fmt.Sprintf("/debug/txn/%d", trace), &body)
+	return body.Spans, err
 }
 
 func (s *HTTPSource) WaitEdges() ([]obs.WaitEdge, error) {
-	resp, err := s.get("/debug/waitedges")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var body struct {
 		Edges []obs.WaitEdge `json:"edges"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("fleet: scrape %s waitedges: %w", s.name, err)
+	err := s.getJSON("/debug/waitedges", &body)
+	return body.Edges, err
+}
+
+func (s *HTTPSource) getJSON(path string, v any) error {
+	resp, err := s.get(path)
+	if err != nil {
+		return err
 	}
-	return body.Edges, nil
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("fleet: scrape %s%s: %w", s.name, path, err)
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -52,77 +53,55 @@ func keyOf(sp obs.Span) spanKey {
 //     and can collide. A colliding id is remapped to a fresh one, with
 //     parent references resolved within the owning fragment first (a
 //     remapped parent's children follow it); references into other
-//     fragments keep their original id, which the PR-5 SpanCtx
-//     propagation made globally meaningful for cross-member RPC edges.
-func (c *Collector) Stitch(trace int64) StitchedTrace {
+//     fragments keep their original id, which SpanCtx propagation makes
+//     globally meaningful for cross-member RPC edges.
+func (p *Plane) Stitch(trace int64) StitchedTrace {
 	out := StitchedTrace{Trace: trace, Errors: make(map[string]string)}
-	sources := c.Sources()
-
 	type frag struct {
 		name  string
 		spans []obs.Span
 	}
-	frags := make([]frag, len(sources))
-	for i, src := range sources {
+	var frags []frag
+	var maxID int64
+	for _, src := range p.sources {
 		spans, err := src.Spans(trace)
 		if err != nil {
 			out.Errors[src.Name()] = err.Error()
 			continue
 		}
-		frags[i] = frag{src.Name(), spans}
+		frags = append(frags, frag{src.Name(), spans})
+		for _, sp := range spans {
+			maxID = max(maxID, sp.ID)
+		}
 	}
 
-	seen := make(map[int64]spanKey)
-	var maxID int64
+	seen := make(map[int64]spanKey) // id -> content of the span stitched under it
 	for _, f := range frags {
-		for _, sp := range f.spans {
-			if sp.ID > maxID {
-				maxID = sp.ID
-			}
-		}
-	}
-	contributed := map[string]bool{}
-	for _, f := range frags {
-		if len(f.spans) == 0 {
-			continue
-		}
 		remap := map[int64]int64{}
-		added := false
+		var fresh []obs.Span
 		for _, sp := range f.spans {
-			k := keyOf(sp)
-			if prev, ok := seen[sp.ID]; ok {
-				if prev == k {
-					continue // identical copy from a shared store
-				}
+			if prev, ok := seen[sp.ID]; !ok {
+				seen[sp.ID] = keyOf(sp)
+			} else if prev == keyOf(sp) {
+				continue // identical copy from a shared store
+			} else {
 				maxID++
 				remap[sp.ID] = maxID
-			} else {
-				seen[sp.ID] = k
 			}
-			added = true
+			fresh = append(fresh, sp)
 		}
-		if !added {
-			continue
-		}
-		for _, sp := range f.spans {
-			k := keyOf(sp)
-			if prev, ok := seen[sp.ID]; ok && prev == k {
-				if _, remapped := remap[sp.ID]; !remapped {
-					// First (or identical) copy: emit once, on the first
-					// fragment that carries it.
-					if !spanEmitted(out.Spans, sp.ID) {
-						out.Spans = append(out.Spans, withParent(sp, remap))
-					}
-					continue
-				}
-			}
-			nsp := sp
+		for _, sp := range fresh {
 			if nid, ok := remap[sp.ID]; ok {
-				nsp.ID = nid
+				sp.ID = nid
 			}
-			out.Spans = append(out.Spans, withParent(nsp, remap))
+			if nid, ok := remap[sp.Parent]; ok {
+				sp.Parent = nid
+			}
+			out.Spans = append(out.Spans, sp)
 		}
-		contributed[f.name] = true
+		if len(fresh) > 0 {
+			out.Members = append(out.Members, f.name)
+		}
 	}
 	sort.Slice(out.Spans, func(i, j int) bool {
 		if out.Spans[i].StartNS != out.Spans[j].StartNS {
@@ -130,10 +109,6 @@ func (c *Collector) Stitch(trace int64) StitchedTrace {
 		}
 		return out.Spans[i].ID < out.Spans[j].ID
 	})
-
-	for m := range contributed {
-		out.Members = append(out.Members, m)
-	}
 	sort.Strings(out.Members)
 	out.Timeline = obs.RenderTree(out.Spans)
 	out.Attribution, out.ByMember = attribute(out.Spans)
@@ -142,22 +117,6 @@ func (c *Collector) Stitch(trace int64) StitchedTrace {
 		out.Errors = nil
 	}
 	return out
-}
-
-func spanEmitted(spans []obs.Span, id int64) bool {
-	for _, sp := range spans {
-		if sp.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-func withParent(sp obs.Span, remap map[int64]int64) obs.Span {
-	if nid, ok := remap[sp.Parent]; ok {
-		sp.Parent = nid
-	}
-	return sp
 }
 
 // attribute buckets leaf time (spans with no child spans) by obs.BucketOf,
@@ -192,10 +151,8 @@ func attribute(spans []obs.Span) (map[string]int64, map[string]map[string]int64)
 // memberOf extracts the member from a span component: Named tracers
 // prefix components with "<member>/".
 func memberOf(comp string) string {
-	for i := 0; i < len(comp); i++ {
-		if comp[i] == '/' {
-			return comp[:i]
-		}
+	if m, _, ok := strings.Cut(comp, "/"); ok {
+		return m
 	}
 	return "host"
 }
@@ -259,10 +216,10 @@ func nodeKey(member string, txn, trace int64) string {
 
 // MergeWaitGraph fetches every member's wait edges and joins them on
 // global trace ids. Unreachable members are reported and skipped.
-func (c *Collector) MergeWaitGraph() WaitGraph {
+func (p *Plane) MergeWaitGraph() WaitGraph {
 	out := WaitGraph{Errors: make(map[string]string)}
 	adj := map[string]map[string]bool{}
-	for _, src := range c.Sources() {
+	for _, src := range p.sources {
 		edges, err := src.WaitEdges()
 		if err != nil {
 			out.Errors[src.Name()] = err.Error()

@@ -94,27 +94,6 @@ func (db *DB) NewCluster(name string, slots int) (*cluster.Map, error) {
 	return m, nil
 }
 
-// SetMemberDegraded flags (or clears) a member of every registered cluster
-// that knows it as degraded — the hook the fleet health monitor drives so
-// the router deprioritizes a flagged member (read ordering, drain targets)
-// without any placement change. Returns how many cluster maps were updated.
-func (db *DB) SetMemberDegraded(member string, degraded bool) int {
-	db.mu.Lock()
-	maps := make([]*cluster.Map, 0, len(db.clusters))
-	for _, m := range db.clusters {
-		maps = append(maps, m)
-	}
-	db.mu.Unlock()
-	n := 0
-	for _, m := range maps {
-		if m.HasMember(member) {
-			m.SetDegraded(member, degraded)
-			n++
-		}
-	}
-	return n
-}
-
 // Cluster returns the placement map registered under name, nil if none.
 func (db *DB) Cluster(name string) *cluster.Map {
 	db.mu.Lock()

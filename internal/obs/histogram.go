@@ -113,11 +113,6 @@ func (h *Histogram) ObserveEx(d time.Duration, trace int64) {
 	}
 }
 
-// Exemplar returns the exemplar observation and its trace id (0 if none).
-func (h *Histogram) Exemplar() (time.Duration, int64) {
-	return time.Duration(h.exNS.Load()), h.exTrace.Load()
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -162,6 +157,10 @@ type HistogramData struct {
 	Count        int64   `json:"count"`
 	SumNS        int64   `json:"sum_ns"`
 	MaxNS        int64   `json:"max_ns"`
+	// ExemplarNS and ExemplarTrace are the largest traced observation
+	// (ObserveEx) and its trace id; zero when none was recorded.
+	ExemplarNS    int64 `json:"exemplar_ns,omitempty"`
+	ExemplarTrace int64 `json:"exemplar_trace,omitempty"`
 }
 
 // Export copies the histogram's current buckets. Concurrent Observe calls
@@ -175,6 +174,7 @@ func (h *Histogram) Export() HistogramData {
 		SumNS:        h.sum.Load(),
 		MaxNS:        h.max.Load(),
 	}
+	d.ExemplarNS, d.ExemplarTrace = h.exNS.Load(), h.exTrace.Load()
 	for i := range h.counts {
 		n := h.counts[i].Load()
 		d.BucketCounts[i] = n
@@ -200,10 +200,11 @@ func sameBounds(a, b []int64) bool {
 	return true
 }
 
-// Merge adds o into d bucket-wise. Count, Sum, and Max are exact; any
-// quantile of the merged data is within one bucket bound of the quantile a
-// single histogram observing both streams would report (the streams landed
-// in the same buckets either way). An empty side adopts the other's bounds.
+// Merge adds o into d bucket-wise, keeping the larger exemplar. Count,
+// Sum, and Max are exact; any quantile of the merged data is within one
+// bucket bound of the quantile a single histogram observing both streams
+// would report (the streams landed in the same buckets either way). An
+// empty side adopts the other's bounds.
 func (d *HistogramData) Merge(o HistogramData) error {
 	if o.Count == 0 && len(o.BoundsNS) == 0 {
 		return nil
@@ -222,6 +223,9 @@ func (d *HistogramData) Merge(o HistogramData) error {
 	d.SumNS += o.SumNS
 	if o.MaxNS > d.MaxNS {
 		d.MaxNS = o.MaxNS
+	}
+	if o.ExemplarNS > d.ExemplarNS {
+		d.ExemplarNS, d.ExemplarTrace = o.ExemplarNS, o.ExemplarTrace
 	}
 	return nil
 }
@@ -312,15 +316,4 @@ func (d HistogramData) Summarize() Summary {
 		P99:   d.Quantile(0.99),
 		Max:   time.Duration(d.MaxNS),
 	}
-}
-
-// buckets returns the cumulative per-bucket counts, for rendering.
-func (h *Histogram) buckets() (bounds []int64, cumulative []int64) {
-	cumulative = make([]int64, len(h.counts))
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		cumulative[i] = cum
-	}
-	return h.bounds, cumulative
 }

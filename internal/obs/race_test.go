@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,3 +70,50 @@ func TestContention(t *testing.T) {
 type nopWriter struct{}
 
 func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWritePromSelfConsistent scrapes a registry in a loop while four
+// goroutines observe into one histogram. Every page must agree with
+// itself: a histogram's _count equals its +Inf bucket, as the Prometheus
+// text format requires.
+func TestWritePromSelfConsistent(t *testing.T) {
+	r := New()
+	h := r.Histogram("race_seconds")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				h.Observe(time.Duration(i%1000) * time.Microsecond)
+			}
+		}()
+	}
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for page := 0; page < 2000; page++ {
+		var b strings.Builder
+		if err := r.WriteProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `race_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "race_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("page %d: +Inf bucket %q, _count %q", page, inf, count)
+		}
+	}
+}

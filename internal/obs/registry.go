@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -111,108 +112,95 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.hists[name] = h
 }
 
-// WriteProm renders every metric in Prometheus text exposition format
-// (sorted by name, histograms as cumulative le buckets in seconds).
+// WriteProm renders every metric in Prometheus text exposition format:
+// WritePromText over one Export, labelled with the registry's labels.
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
-	labels := r.labels
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	gaugeFns := make(map[string]func() float64, len(r.gaugeFns))
-	for k, v := range r.gaugeFns {
-		gaugeFns[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
+	labels := append([]string(nil), r.labels...)
 	r.mu.Unlock()
+	return WritePromText(w, Series{Labels: labels, Snap: r.Export()})
+}
 
-	render := func(name string, extra ...string) string {
-		if len(labels) == 0 && len(extra) == 0 {
-			return name
-		}
-		all := append(append([]string{}, labels...), extra...)
-		return name + "{" + strings.Join(all, ",") + "}"
-	}
+// Series is one labelled snapshot on a Prometheus page: Labels are
+// rendered `k="v"` pairs put on every sample the snapshot contributes.
+type Series struct {
+	Labels []string
+	Snap   MetricsSnapshot
+}
 
-	var names []string
-	for n := range counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# HELP %s Cumulative count.\n# TYPE %s counter\n%s %d\n", n, n, render(n), counters[n].Load()); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
-	for n := range gauges {
-		names = append(names, n)
-	}
-	for n := range gaugeFns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		var v float64
-		if f, ok := gaugeFns[n]; ok {
-			v = f()
-		} else {
-			v = float64(gauges[n].Load())
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s Current value.\n# TYPE %s gauge\n%s %g\n", n, n, render(n), v); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
-	for n := range hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := hists[n]
-		bounds, cum := h.buckets()
-		if _, err := fmt.Fprintf(w, "# HELP %s Duration histogram in seconds.\n# TYPE %s histogram\n", n, n); err != nil {
-			return err
-		}
-		for i, b := range bounds {
-			le := fmt.Sprintf("le=%q", formatSeconds(b))
-			if _, err := fmt.Fprintf(w, "%s %d\n", render(n+"_bucket", le), cum[i]); err != nil {
-				return err
+// WritePromText renders series as one Prometheus text exposition page.
+// Counters, then gauges, then histograms, each sorted by name; HELP and
+// TYPE once per name, then one sample (or histogram block) per series
+// carrying that name, in series order. Histograms render as cumulative
+// le buckets in seconds, the exemplar trailing the +Inf line, then _sum,
+// _count, and a non-standard _max companion carrying the exact maximum
+// that ParsePromText folds back into HistogramData.MaxNS.
+func WritePromText(w io.Writer, series ...Series) error {
+	var b bytes.Buffer
+	for _, n := range names(series, func(s MetricsSnapshot) map[string]int64 { return s.Counters }) {
+		fmt.Fprintf(&b, "# HELP %s Cumulative count.\n# TYPE %s counter\n", n, n)
+		for _, s := range series {
+			if v, ok := s.Snap.Counters[n]; ok {
+				fmt.Fprintf(&b, "%s %d\n", render(n, s.Labels), v)
 			}
 		}
-		// OpenMetrics-style exemplar on the +Inf bucket line, linking the
-		// outlier to its trace (/debug/txn/<id>).
-		exSuffix := ""
-		if exD, exTrace := h.Exemplar(); exTrace != 0 {
-			exSuffix = fmt.Sprintf(" # {trace_id=\"%d\"} %g", exTrace, exD.Seconds())
-		}
-		if _, err := fmt.Fprintf(w, "%s %d%s\n", render(n+"_bucket", `le="+Inf"`), cum[len(cum)-1], exSuffix); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %g\n", render(n+"_sum"), h.Sum().Seconds()); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", render(n+"_count"), h.Count()); err != nil {
-			return err
-		}
-		// Non-standard companion gauge: the exact maximum, which cumulative
-		// buckets cannot carry. The federation parser folds it back into
-		// HistogramData.MaxNS so quantile clamping survives an HTTP scrape.
-		if _, err := fmt.Fprintf(w, "%s %g\n", render(n+"_max"), h.Max().Seconds()); err != nil {
-			return err
+	}
+	for _, n := range names(series, func(s MetricsSnapshot) map[string]float64 { return s.Gauges }) {
+		fmt.Fprintf(&b, "# HELP %s Current value.\n# TYPE %s gauge\n", n, n)
+		for _, s := range series {
+			if v, ok := s.Snap.Gauges[n]; ok {
+				fmt.Fprintf(&b, "%s %g\n", render(n, s.Labels), v)
+			}
 		}
 	}
-	return nil
+	for _, n := range names(series, func(s MetricsSnapshot) map[string]HistogramData { return s.Hists }) {
+		fmt.Fprintf(&b, "# HELP %s Duration histogram in seconds.\n# TYPE %s histogram\n", n, n)
+		for _, s := range series {
+			d, ok := s.Snap.Hists[n]
+			if !ok {
+				continue
+			}
+			var cum int64
+			for i, bound := range d.BoundsNS {
+				cum += d.BucketCounts[i]
+				fmt.Fprintf(&b, "%s %d\n", render(n+"_bucket", s.Labels, fmt.Sprintf("le=%q", formatSeconds(bound))), cum)
+			}
+			ex := ""
+			if d.ExemplarTrace != 0 {
+				ex = fmt.Sprintf(" # {trace_id=\"%d\"} %g", d.ExemplarTrace, time.Duration(d.ExemplarNS).Seconds())
+			}
+			fmt.Fprintf(&b, "%s %d%s\n", render(n+"_bucket", s.Labels, `le="+Inf"`), d.Count, ex)
+			fmt.Fprintf(&b, "%s %g\n", render(n+"_sum", s.Labels), time.Duration(d.SumNS).Seconds())
+			fmt.Fprintf(&b, "%s %d\n", render(n+"_count", s.Labels), d.Count)
+			fmt.Fprintf(&b, "%s %g\n", render(n+"_max", s.Labels), time.Duration(d.MaxNS).Seconds())
+		}
+	}
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// names returns the sorted union of one metric kind's names over series.
+func names[V any](series []Series, kind func(MetricsSnapshot) map[string]V) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, s := range series {
+		for n := range kind(s.Snap) {
+			if !seen[n] {
+				seen[n] = true
+				out = append(out, n)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// render names one sample: name{labels...,extra...}.
+func render(name string, labels []string, extra ...string) string {
+	if len(labels)+len(extra) == 0 {
+		return name
+	}
+	return name + "{" + strings.Join(append(append([]string(nil), labels...), extra...), ",") + "}"
 }
 
 // formatSeconds renders a nanosecond bound as seconds without trailing

@@ -248,9 +248,8 @@ func TestHistogramExemplar(t *testing.T) {
 	h.ObserveEx(5*time.Millisecond, 100)
 	h.ObserveEx(50*time.Millisecond, 200)
 	h.ObserveEx(10*time.Millisecond, 300) // smaller: must not displace
-	d, trace := h.Exemplar()
-	if trace != 200 || d != 50*time.Millisecond {
-		t.Fatalf("exemplar = (%v, %d), want (50ms, 200)", d, trace)
+	if d := h.Export(); d.ExemplarTrace != 200 || d.ExemplarNS != int64(50*time.Millisecond) {
+		t.Fatalf("exemplar = (%v, %d), want (50ms, 200)", time.Duration(d.ExemplarNS), d.ExemplarTrace)
 	}
 
 	reg := New()

@@ -73,11 +73,6 @@ func (st *Stack) allWaitEdges() []obs.WaitEdge {
 	return edges
 }
 
-// NewFleetPlane assembles a fleet plane over the deployment's members.
-func (st *Stack) NewFleetPlane(hc fleet.HealthConfig, extra ...*obs.Registry) *fleet.Plane {
-	return fleet.NewPlane(st.FleetSources(extra...), hc)
-}
-
 // MemberAdmin builds the admin surface one member would serve if it ran as
 // its own process: only that member's registries (plus extra), its tracer
 // view, and its wait edges. HTTPSources pointed at these servers exercise

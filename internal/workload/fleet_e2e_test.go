@@ -43,11 +43,11 @@ func TestFleetPlaneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plane := st.NewFleetPlane(fleet.HealthConfig{})
+	plane := fleet.NewPlane(st.FleetSources()...)
 	srv := httptest.NewServer(plane.Handler())
 	defer srv.Close()
 
-	view := plane.Collector.Federate()
+	view := plane.Federate()
 	if len(view.Errors) != 0 {
 		t.Fatalf("in-process scrape errored: %v", view.Errors)
 	}
@@ -100,7 +100,7 @@ func TestFleetPlaneEndToEnd(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded")
 	}
-	stitched := plane.Collector.Stitch(spans[len(spans)-1].Trace)
+	stitched := plane.Stitch(spans[len(spans)-1].Trace)
 	if len(stitched.Spans) == 0 {
 		t.Fatalf("stitched trace %d empty", spans[len(spans)-1].Trace)
 	}
@@ -115,7 +115,7 @@ func TestFleetPlaneEndToEnd(t *testing.T) {
 // yield partial views, never errors or data races.
 func TestFleetPlaneUnderMemberChurn(t *testing.T) {
 	st := testStack(t, func(c *StackConfig) { c.Servers = []string{"fs1", "fs2", "fs3"} })
-	plane := st.NewFleetPlane(fleet.HealthConfig{FlagAfter: 1, ClearAfter: 1})
+	plane := fleet.NewPlane(st.FleetSources()...)
 	srv := httptest.NewServer(plane.Handler())
 	defer srv.Close()
 
@@ -168,7 +168,7 @@ func TestFleetPlaneUnderMemberChurn(t *testing.T) {
 	wg.Wait()
 
 	// After churn the in-process members all still federate.
-	view := plane.Collector.Federate()
+	view := plane.Federate()
 	if len(view.Errors) != 0 {
 		t.Fatalf("post-churn scrape errors: %v", view.Errors)
 	}

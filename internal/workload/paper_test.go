@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -747,36 +748,40 @@ func shapeFleetLocalization(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		sources = append(sources, fleet.NewHTTPSource(m, srv.Addr(), 2*time.Second))
 	}
-	var mu sync.Mutex
-	var falseFlags []string
-	plane := fleet.NewPlane(sources, fleet.HealthConfig{
-		Interval:       120 * time.Millisecond,
-		MinWindowCount: 4,
-		FlagAfter:      2,
-		ClearAfter:     10,
-		SLOTarget:      50 * time.Millisecond,
-		OnChange: func(member string, degraded bool, reason string) {
-			// The router hook: a flagged member is deprioritized.
-			st.Host.SetMemberDegraded(member, degraded)
-			if degraded && member != victim {
-				mu.Lock()
-				falseFlags = append(falseFlags, member+": "+reason)
-				mu.Unlock()
+	plane := fleet.NewPlane(sources...)
+	fleetSrv := httptest.NewServer(plane.Handler())
+	t.Cleanup(fleetSrv.Close)
+
+	// While the storm runs, a check every 120 ms: a verdict taken under
+	// load may flag the victim, never a healthy member.
+	stormDone, checkerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(checkerDone)
+		tick := time.NewTicker(120 * time.Millisecond)
+		defer tick.Stop()
+		reported := map[string]bool{}
+		for {
+			select {
+			case <-stormDone:
+				return
+			case <-tick.C:
 			}
-		},
-	})
-	fleetSrv, err := plane.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fleetSrv.Close() })
-	fleetBase := "http://" + fleetSrv.Addr()
+			for _, mh := range plane.Check().Members {
+				if mh.Degraded && mh.Member != victim && !reported[mh.Member] {
+					reported[mh.Member] = true
+					t.Errorf("false flag on a healthy member during the storm: %s: %v", mh.Member, mh.Reasons)
+				}
+			}
+		}
+	}()
 
 	// 400 arrivals at 400/s over a 64-session pool, 150 preloaded rows
 	// spread over the three storm_i tables.
 	storm, err := RunChaos(st, ChaosConfig{Config: Config{
 		Clients: 64, Rate: 400, Sessions: 400, Seed: 164, PreloadRows: 50, Table: "storm",
 	}})
+	close(stormDone)
+	<-checkerDone
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -784,46 +789,51 @@ func shapeFleetLocalization(t *testing.T) {
 		t.Errorf("storm: consistency violation: %s", v)
 	}
 
-	// On a slow machine the storm can end before the verdict. Stop the
-	// ticker and drive the checks by hand, each after a round of commits
-	// on every member, so every check sees a full window per member.
-	plane.Watchdog.Stop()
-	flagged := func() bool {
-		for _, d := range plane.Watchdog.Degraded() {
-			if d == victim {
-				return true
-			}
-		}
-		return false
-	}
+	// The verdict: FlagAfter windows and one more, each a round of links
+	// on every member between two checks.
 	seq := int64(50_000_000)
-	for i := 0; i < 40 && !flagged(); i++ {
+	health := plane.Check() // the first window's opening view
+	for w := 0; w <= fleet.FlagAfter; w++ {
 		for _, m := range []string{"fs1", "fs2", "fs3"} {
-			for k := 0; k < 4; k++ {
+			for k := 0; k < e16LinksPerWindow; k++ {
 				seq++
-				if path, ok := pathOwnedBy(st, m, seq); ok {
-					linkOnce(st, path, seq) //nolint:errcheck
+				path, ok := pathOwnedBy(st, m, seq)
+				if !ok {
+					t.Fatalf("found no path owned by %s", m)
+				}
+				if _, err := linkOnce(st, path, seq); err != nil {
+					t.Fatalf("window %d: link on %s: %v", w, m, err)
 				}
 			}
 		}
-		plane.Watchdog.Check()
+		health = plane.Check()
+		line := fmt.Sprintf("window %d: fleet median %.3fms", w, health.FleetMedianP50MS)
+		for _, mh := range health.Members {
+			line += fmt.Sprintf("; %s n=%d p50=%.3fms degraded=%v", mh.Member, mh.WindowCount, mh.WindowP50MS, mh.Degraded)
+			if mh.Member != "host" && mh.WindowCount < fleet.MinWindowCount {
+				t.Fatalf("%s: %s holds %d syncs, fewer than the %d a verdict judges", line, mh.Member, mh.WindowCount, fleet.MinWindowCount)
+			}
+			if mh.Degraded && mh.Member != victim {
+				t.Errorf("false flag on a healthy member: %s: %v", mh.Member, mh.Reasons)
+			}
+		}
+		t.Log(line)
 	}
-	if !flagged() {
-		t.Fatalf("watchdog never flagged %s", victim)
+	var flagged fleet.MemberHealth
+	for _, mh := range health.Members {
+		if mh.Member == victim {
+			flagged = mh
+		}
 	}
-	mu.Lock()
-	for _, f := range falseFlags {
-		t.Errorf("false flag on a healthy member: %s", f)
+	if !flagged.Degraded || !strings.Contains(strings.Join(flagged.Reasons, " "), "wal_sync_seconds") {
+		t.Fatalf("%s not flagged for wal_sync_seconds drift after the %d windows logged above (reasons %v)",
+			victim, fleet.FlagAfter+1, flagged.Reasons)
 	}
-	mu.Unlock()
 
-	var health fleet.HealthReport
-	getJSON(t, fleetBase+"/cluster/health", &health)
-	if len(health.Degraded) != 1 || health.Degraded[0] != victim {
-		t.Errorf("/cluster/health degraded = %v, want exactly [%s]", health.Degraded, victim)
-	}
-	if !st.Host.Cluster(st.ClusterName).IsDegraded(victim) {
-		t.Errorf("host placement map does not list %s as degraded", victim)
+	var served fleet.Health
+	getJSON(t, fleetSrv.URL+"/cluster/health", &served)
+	if len(served.Degraded) != 1 || served.Degraded[0] != victim {
+		t.Errorf("/cluster/health degraded = %v, want exactly [%s]", served.Degraded, victim)
 	}
 
 	// Stitching: a quiet transaction routed to the victim must blame its
@@ -841,14 +851,14 @@ func shapeFleetLocalization(t *testing.T) {
 		t.Fatal("probe transaction got no trace id")
 	}
 	var stitched fleet.StitchedTrace
-	getJSON(t, fmt.Sprintf("%s/cluster/txn/%d", fleetBase, trace), &stitched)
+	getJSON(t, fmt.Sprintf("%s/cluster/txn/%d", fleetSrv.URL, trace), &stitched)
 	if want := victim + "/wal_fsync"; stitched.Dominant != want {
 		t.Errorf("stitched dominant = %q, want %q; timeline:\n%s", stitched.Dominant, want, strings.Join(stitched.Timeline, "\n"))
 	}
 
 	// Federation over the HTTP parse path: every aggregate counter equals
 	// the sum of the member values in the same scrape.
-	view := plane.Collector.Federate()
+	view := plane.Federate()
 	for m, e := range view.Errors {
 		t.Errorf("scrape error with every member up: %s: %s", m, e)
 	}
@@ -870,6 +880,11 @@ func shapeFleetLocalization(t *testing.T) {
 		t.Error("federated engine_commits_total is zero after the storm")
 	}
 }
+
+// e16LinksPerWindow links on each DLFM fill one E16 verdict window. A
+// link syncs its DLFM's log twice, so a window holds 8 syncs per member:
+// fleet.MinWindowCount, which E16 asserts before judging.
+const e16LinksPerWindow = 4
 
 // pathOwnedBy finds a path the cluster places on member.
 func pathOwnedBy(st *Stack, member string, seq int64) (string, bool) {

@@ -240,8 +240,8 @@ func (cs *clientState) forgetID(id int64) {
 func (r *Runner) Run() (Result, error) {
 	next := r.closedLoop()
 	if r.cfg.Rate > 0 {
-		// Arrival-to-completion latency is the SLO series the fleet
-		// watchdog reads by default (fleet.HealthConfig.SLOHist).
+		// Arrival-to-completion latency, published on the process-wide
+		// registry.
 		obs.Default().RegisterHistogram("storm_txn_seconds", r.lat)
 		next = r.openLoop()
 	}

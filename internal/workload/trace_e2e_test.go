@@ -376,11 +376,10 @@ func TestMetricsGoldenList(t *testing.T) {
 		"host_admission_delayed_total",
 		"host_admission_lock_pressure",
 		"host_admission_wal_queue",
-		// This PR's watchdog input gauges (DESIGN.md §13): the member-side
-		// signals the fleet health monitor scores.
+		// The member-side gauges the fleet health verdict scores
+		// (DESIGN.md §13).
 		"engine_lock_pressure",
 		"wal_group_commit_queue",
-		"cluster_degraded_members",
 		"repl_lag_records",
 	}
 	var missing []string
@@ -401,10 +400,15 @@ func TestMetricsGoldenList(t *testing.T) {
 	if strings.Contains(exposition, "host_outcome_gc_total") {
 		t.Fatal("/metrics exposes host_outcome_gc_total again")
 	}
+	// The router's degraded set had no reader outside one test.
+	if strings.Contains(exposition, "cluster_degraded_members") {
+		t.Fatal("/metrics exposes cluster_degraded_members again")
+	}
 
 	// The fleet plane's own exposition (DESIGN.md §13): aggregate series
-	// plus member-labelled copies and the plane's fleet_*/health_* state.
-	fleetSrv := httptest.NewServer(st.NewFleetPlane(fleet.HealthConfig{}).Handler())
+	// plus member-labelled copies, member reachability and the verdict's
+	// degraded count.
+	fleetSrv := httptest.NewServer(fleet.NewPlane(st.FleetSources()...).Handler())
 	defer fleetSrv.Close()
 	resp, err = http.Get(fleetSrv.URL + "/cluster/health?check=1")
 	if err != nil {
@@ -423,15 +427,8 @@ func TestMetricsGoldenList(t *testing.T) {
 	}
 	fleetExpo := string(body)
 	fleetGolden := []string{
-		"fleet_members",
-		"fleet_scrapes_total",
-		"fleet_scrape_errors_total",
-		"fleet_slo_burn_rate",
 		`fleet_member_up{member="host"} 1`,
 		`fleet_member_up{member="fs1"} 1`,
-		"health_checks_total",
-		"health_flags_total",
-		"health_clears_total",
 		"health_degraded_members",
 		// Aggregate + member-labelled copies of a member series.
 		"\nengine_commits_total ",
